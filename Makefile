@@ -1,17 +1,23 @@
 # Tier-1: the build/test gate every change must keep green. vet catches
 # dropped-error patterns; the GOARCH=386 cross-build catches 32-bit key
-# arithmetic regressions (the pq/bandKey int64 invariants) mechanically.
+# arithmetic regressions (the pq/bandKey int64 invariants) mechanically;
+# the gofmt step fails on any unformatted file.
 tier1:
 	go build ./... && go test ./...
 	go vet ./...
 	GOARCH=386 go build ./...
+	test -z "$$(gofmt -l .)"
 
 # Tier-2: vet + race-checked tests + the chaos smoke + the dense-core bench
 # smoke + the incremental-engine bench smoke + the widening-point family
 # smoke + a bounded fuzz pass — the concurrency gate for the parallel solver
-# (PSW), the differential harness, and the fault-isolation layer.
+# (PSW), the differential harness, and the fault-isolation layer. The
+# perfbench module's own tests (a tiny run of every workload, each output
+# check catching a corrupted result) run here too: they sit outside the root
+# module, so go test ./... does not reach them.
 tier2:
 	go vet ./... && go test -race ./...
+	cd perfbench && go test -short ./...
 	$(MAKE) chaos-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) cpw-smoke

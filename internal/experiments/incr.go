@@ -121,7 +121,7 @@ func incrRows[D any](l lattice.Lattice[D], g eqgen.System, sys *eqn.System[int, 
 			// Localized edit: fresh material for one unknown of the last
 			// stratum, dependences unchanged (the compiled shape is patched,
 			// not rebuilt).
-			strata := solver.Stratify(sys.DepGraph())
+			strata := solver.DecompositionOf(sys).Strata()
 			i := strata[len(strata)-1].Lo
 			sp := g.Shape.SpecOf(i)
 			sp.Mat = (c.EditSeed + uint64(si)) * 0x9e3779b97f4a7c15

@@ -44,11 +44,11 @@ type PerfRow struct {
 // good the decomposition; Note flags exactly that kind of caveat, and
 // GeomeanSpeedup summarizes map-vs-dense comparisons.
 type BenchFile struct {
-	NumCPU         int       `json:"num_cpu"`
-	GoMaxProcs     int       `json:"gomaxprocs"`
-	GoVersion      string    `json:"go_version"`
-	GOOS           string    `json:"goos"`
-	GOARCH         string    `json:"goarch"`
+	NumCPU         int               `json:"num_cpu"`
+	GoMaxProcs     int               `json:"gomaxprocs"`
+	GoVersion      string            `json:"go_version"`
+	GOOS           string            `json:"goos"`
+	GOARCH         string            `json:"goarch"`
 	Note           string            `json:"note,omitempty"`
 	GeomeanSpeedup float64           `json:"geomean_speedup,omitempty"`
 	Breakdown      *GeomeanBreakdown `json:"geomean_breakdown,omitempty"`

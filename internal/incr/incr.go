@@ -5,9 +5,10 @@
 // previous assignment instead of ⊥.
 //
 // The engine computes the downstream dirty cone of an edit batch over the
-// memoized static dependence graph (solver.DirtyCone: the transitive
-// readers of the edited unknowns, rounded up to whole strata of the SCC
-// stratification) and re-runs the chosen solver on the induced subsystem.
+// system's memoized decomposition (solver.DecompositionOf(sys).Cone: the
+// transitive readers of the edited unknowns, rounded up to whole strata of
+// the SCC stratification, at a cost proportional to the cone) and re-runs
+// the chosen solver on the induced subsystem.
 // Unknowns outside the cone are pinned at their previous finals: the
 // subsystem's initial assignment answers out-of-cone reads with the stored
 // values, which every execution core (map, dense, unboxed) already treats
@@ -186,7 +187,7 @@ func (e *Engine[X, D]) Solve(cfg solver.Config) (*Result[X, D], error) {
 		Values:        sigma,
 		Stats:         st,
 		DirtyUnknowns: n,
-		ConeStrata:    len(solver.Stratify(e.sys.DepGraph())),
+		ConeStrata:    solver.DecompositionOf(e.sys).NumStrata(),
 	}, nil
 }
 
@@ -223,7 +224,8 @@ func (e *Engine[X, D]) Apply(edits ...Edit[X, D]) {
 // journal suffix the engine has not absorbed plus the perturbed unknowns.
 // Perturbing an undefined unknown (a parameter) seeds its readers instead —
 // the parameter itself has no equation to re-solve, but everything that
-// falls back to σ₀ for it sees the new value.
+// falls back to σ₀ for it sees the new value. The readers come from the
+// memoized influence sets, so the cost is proportional to the batch.
 func (e *Engine[X, D]) pending() []int {
 	idx := e.sys.Index()
 	var seeds []int
@@ -239,13 +241,8 @@ func (e *Engine[X, D]) pending() []int {
 			add(i)
 			return
 		}
-		for i, y := range e.sys.Order() {
-			for _, d := range e.sys.Deps(y) {
-				if d == x {
-					add(i)
-					break
-				}
-			}
+		for _, y := range e.sys.Infl()[x] {
+			add(idx[y])
 		}
 	}
 	for _, x := range e.sys.EditsSince(e.version) {
@@ -271,6 +268,9 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 	n := e.sys.Len()
 	seeds := e.pending()
 	if len(seeds) == 0 {
+		// Perturbations that reach no reader are consumed here, so later
+		// calls do not look them up again.
+		e.perturbed = nil
 		return &Result[X, D]{Values: copyMap(e.prev), ReusedUnknowns: n}, nil
 	}
 
@@ -289,11 +289,11 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 			Values:        sigma,
 			Stats:         st,
 			DirtyUnknowns: n,
-			ConeStrata:    len(solver.Stratify(e.sys.DepGraph())),
+			ConeStrata:    solver.DecompositionOf(e.sys).NumStrata(),
 		}, nil
 	}
 
-	members, coneStrata := solver.DirtyCone(e.sys.DepGraph(), seeds)
+	members, coneStrata := solver.DecompositionOf(e.sys).Cone(seeds)
 	order := e.sys.Order()
 	sub := eqn.NewSystem[X, D]()
 	inCone := make(map[X]bool, len(members))

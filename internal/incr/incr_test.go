@@ -2,8 +2,10 @@ package incr
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"warrow/internal/eqgen"
 	"warrow/internal/eqn"
 	"warrow/internal/lattice"
 	"warrow/internal/solver"
@@ -283,4 +285,91 @@ func TestResumeMidCone(t *testing.T) {
 			got.Stats.Evals, got.Stats.Updates, refRes.Stats.Evals, refRes.Stats.Updates)
 	}
 	mustEqual(t, sys, got.Values, refRes.Values)
+}
+
+// TestUnreachedPerturbationConsumed: a perturbation of an unknown nothing
+// defines or reads seeds no cone; the no-edit fast path consumes it instead
+// of looking it up again on every later call.
+func TestUnreachedPerturbationConsumed(t *testing.T) {
+	sys := chain(8, 0)
+	e, _ := New(l, sys, eqn.ConstBottom[int, lattice.Interval](l), "sw")
+	cfg := solver.Config{MaxEvals: 100_000}
+	if _, err := e.Solve(cfg); err != nil {
+		t.Fatal(err)
+	}
+	e.Apply(Perturb(99, lattice.Singleton(7)))
+	res, err := e.Resolve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DirtyUnknowns != 0 || res.ReusedUnknowns != 8 {
+		t.Fatalf("unread perturbation dirtied %d unknowns", res.DirtyUnknowns)
+	}
+	if len(e.perturbed) != 0 {
+		t.Fatalf("fast path left %d perturbations pending", len(e.perturbed))
+	}
+	if got := e.Init()(99); !l.Eq(got, lattice.Singleton(7)) {
+		t.Fatalf("live init of the perturbed unknown = %s, want [7,7]", l.Format(got))
+	}
+}
+
+// leafEngine solves an N-unknown eqgen interval system with sw and returns
+// the engine with a leaf redefinition of the last unknown (same
+// dependences, fresh constant material) applied but not yet re-solved.
+func leafEngine(tb testing.TB, n int) (*Engine[int, lattice.Interval], func(mat uint64)) {
+	tb.Helper()
+	g := eqgen.New(eqgen.Config{Seed: 13, Dom: eqgen.Interval, N: n})
+	e, err := New(l, g.Interval, eqn.ConstBottom[int, lattice.Interval](l), "sw")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := e.Solve(solver.Config{}); err != nil {
+		tb.Fatal(err)
+	}
+	edit := func(mat uint64) {
+		sp := g.Shape.SpecOf(n - 1)
+		sp.Mat = mat
+		rhs, raw := eqgen.IntervalRHS(sp)
+		e.Apply(RedefineRaw(n-1, sp.Deps, rhs, raw))
+	}
+	edit(1)
+	return e, edit
+}
+
+// TestLeafConeAllocsIndependentOfN pins the cone step of a leaf edit —
+// collecting the pending seeds and computing their cone over the memoized
+// decomposition — at the same allocation count for N = 256 and N = 4096:
+// nothing in it is sized by the system.
+func TestLeafConeAllocsIndependentOfN(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{256, 4096} {
+		e, _ := leafEngine(t, n)
+		step := func() { solver.DecompositionOf(e.sys).Cone(e.pending()) }
+		step()
+		allocs = append(allocs, testing.AllocsPerRun(100, step))
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("leaf cone step allocates %.1f at N=256 but %.1f at N=4096", allocs[0], allocs[1])
+	}
+}
+
+// BenchmarkResolveLeaf measures one leaf edit and its re-solve through the
+// engine, the common edit of an incremental session.
+func BenchmarkResolveLeaf(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			e, edit := leafEngine(b, n)
+			if _, err := e.Resolve(solver.Config{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				edit(uint64(i + 2))
+				if _, err := e.Resolve(solver.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

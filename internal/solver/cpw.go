@@ -80,9 +80,8 @@ func CPW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	en, wd := buildCPWEngine(sys, l, op, init, cfg)
 	sh := en.shape()
 	n := len(sh.order)
-	adj := sys.DepGraph()
-	comp, ncomp := tarjanSCC(adj)
-	strata := stratify(adj)
+	dec := DecompositionOf(sys)
+	strata := dec.strata
 
 	workers := cfg.workers()
 
@@ -135,18 +134,7 @@ func CPW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	}
 
 	st.Workers = workers
-	st.SCCs = ncomp
-	st.Strata = len(strata)
-	sizes := make([]int, ncomp)
-	for _, c := range comp {
-		sizes[c]++
-	}
-	for _, sz := range sizes {
-		st.SCCSize.Observe(sz)
-	}
-	for _, d := range sccDepths(adj, comp, ncomp) {
-		st.SCCDepth.Observe(d)
-	}
+	dec.observe(&st)
 
 	// Strata are solved one after another in index order — stratify
 	// guarantees every dependence stays inside a stratum or reads a

@@ -66,8 +66,8 @@ func PSW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	order := sh.order
 	n := len(order)
 	adj := sys.DepGraph()
-	comp, ncomp := tarjanSCC(adj)
-	strata := stratify(adj)
+	dec := DecompositionOf(sys)
+	strata := dec.strata
 
 	r := &pswRun[X, D]{
 		vc:     vc,
@@ -123,12 +123,6 @@ func PSW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	// Stratum DAG: preds counts how many distinct earlier strata a stratum
 	// reads; succs lists the dependents to release on completion. Strata
 	// already completed by a resumed run take no part in the DAG.
-	strat := make([]int, n) // stratum index per unknown
-	for si, s := range strata {
-		for i := s.lo; i <= s.hi; i++ {
-			strat[i] = si
-		}
-	}
 	preds := make([]int, len(strata))
 	succs := make([][]int, len(strata))
 	seen := make([]int, len(strata)) // last stratum that recorded an edge from us
@@ -143,7 +137,7 @@ func PSW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 		pending++
 		for i := s.lo; i <= s.hi; i++ {
 			for _, j := range adj[i] {
-				if sj := strat[j]; sj != si && !done[sj] && seen[sj] != si {
+				if sj := int(dec.stratumOf[j]); sj != si && !done[sj] && seen[sj] != si {
 					seen[sj] = si
 					preds[si]++
 					succs[sj] = append(succs[sj], si)
@@ -153,18 +147,7 @@ func PSW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	}
 
 	st.Workers = workers
-	st.SCCs = ncomp
-	st.Strata = len(strata)
-	sizes := make([]int, ncomp)
-	for _, c := range comp {
-		sizes[c]++
-	}
-	for _, sz := range sizes {
-		st.SCCSize.Observe(sz)
-	}
-	for _, d := range sccDepths(adj, comp, ncomp) {
-		st.SCCDepth.Observe(d)
-	}
+	dec.observe(&st)
 
 	if len(strata) == 0 {
 		st.WallNs = time.Since(start).Nanoseconds()

@@ -120,6 +120,7 @@ func TestSLRFamilyCrossCoreIdentity(t *testing.T) {
 //   - every family member certifies (eqn.IsPostSolution) on every system;
 //   - on structured loop systems — the shape the recursive refinement is
 //     built for — SLR3/SLR4 are pointwise ≤ the ⊟-everywhere SW baseline.
+//
 // Random systems additionally log how often the restarting members are
 // tighter/looser than SW, so precision drift is visible without pinning.
 func TestSLRFamilyPrecisionVsSW(t *testing.T) {
