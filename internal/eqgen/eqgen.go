@@ -349,9 +349,9 @@ func IntervalSystem(s *Shape) *eqn.System[int, lattice.Interval] {
 // IntervalRHS builds the interval right-hand side a spec describes, together
 // with its fused unboxed twin. The twin encodes the constants once and never
 // materializes a boxed Interval; reads are consumed before the next get
-// call, and tmp is private to the unknown (one stratum owns one unknown),
-// so the closure is safe under PSW. The raw-vs-boxed agreement test pins
-// the bit identity of the two forms.
+// call, and its scratch lives on the stack of each call, so concurrent
+// solves of one system (and PSW strata) never share it. The raw-vs-boxed
+// agreement test pins the bit identity of the two forms.
 func IntervalRHS(sp Spec) (eqn.RHS[int, lattice.Interval], eqn.RawRHS[int]) {
 	ds := sp.Deps
 	mat := sp.Mat
@@ -398,14 +398,14 @@ func IntervalRHS(sp Spec) (eqn.RHS[int, lattice.Interval], eqn.RawRHS[int]) {
 	rawFlip := encIv(flip)
 	rawBig := encIv(big)
 	rawOne := encIv(lattice.Singleton(1))
-	tmp := make([]uint64, 2)
 	raw := func(get func(int) []uint64, dst []uint64) {
+		var tmp [2]uint64
 		copy(dst, rawBase)
 		for k, d := range ds {
 			t := get(d)
 			if sp.Grow && k == 0 {
-				lattice.RawIntervalAdd(tmp, t, rawOne)
-				t = tmp
+				lattice.RawIntervalAdd(tmp[:], t, rawOne)
+				t = tmp[:]
 			}
 			lattice.RawIntervalJoin(dst, dst, t)
 		}

@@ -1,6 +1,7 @@
 package eqgen
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -409,4 +410,64 @@ func TestGiantSCC(t *testing.T) {
 	if got := cfg.Defaults().String(); !strings.Contains(got, "giant=0.90") {
 		t.Fatalf("recipe %q does not render the giant knob", got)
 	}
+}
+
+// TestConcurrentUnboxedSolves runs four unboxed SW solves of one generated
+// system at once — eqn.System supports concurrent solves, so the fused
+// right-hand sides must be reentrant. Under -race a scratch buffer shared
+// by the calls of one equation is reported; without it the four results
+// must still equal a sequential solve's.
+func TestConcurrentUnboxedSolves(t *testing.T) {
+	for _, dom := range []Domain{Interval, Flat, Powerset} {
+		g := New(Config{Seed: 17, Dom: dom, N: 200, WidenDensity: 0.5, NonMonoDensity: 0.2})
+		var err error
+		switch {
+		case g.Flat != nil:
+			err = concurrentSolves(g.Flat, FlatL)
+		case g.Powerset != nil:
+			err = concurrentSolves(g.Powerset, PowersetL())
+		default:
+			err = concurrentSolves(g.Interval, lattice.Ints)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", dom, err)
+		}
+	}
+}
+
+func concurrentSolves[D any](sys *eqn.System[int, D], l lattice.Lattice[D]) error {
+	op := solver.WarrowOp[int, D](l)
+	init := eqn.ConstBottom[int, D](l)
+	cfg := solver.Config{Core: solver.CoreUnboxed, MaxEvals: 1_000_000}
+	want, wantSt, err := solver.SW(sys, l, op, init, cfg)
+	if err != nil {
+		return err
+	}
+	const goroutines = 4
+	errs := make(chan error, goroutines)
+	for k := 0; k < goroutines; k++ {
+		go func() {
+			got, st, err := solver.SW(sys, l, op, init, cfg)
+			switch {
+			case err != nil:
+				errs <- err
+			case st != wantSt:
+				errs <- fmt.Errorf("concurrent solve stats %+v, sequential %+v", st, wantSt)
+			default:
+				for x, v := range want {
+					if !l.Eq(got[x], v) {
+						errs <- fmt.Errorf("concurrent solve differs at %d", x)
+						return
+					}
+				}
+				errs <- nil
+			}
+		}()
+	}
+	for k := 0; k < goroutines; k++ {
+		if err := <-errs; err != nil {
+			return err
+		}
+	}
+	return nil
 }

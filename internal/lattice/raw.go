@@ -29,9 +29,18 @@
 package lattice
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrUnencodable is the error every raw-layer panic over an unrepresentable
+// value wraps: a finite interval bound at the int64 extremes (encoded, or
+// produced by raw arithmetic where the boxed form would yield it), or a set
+// element outside the universe. The solvers' recover barrier keeps the
+// chain, so a caller can tell such an abort from a failing equation with
+// errors.Is and redo the solve on a boxed core, which holds every value.
+var ErrUnencodable = errors.New("lattice: value has no raw encoding")
 
 // Raw is implemented by lattices whose elements admit a fixed-width word
 // encoding. dst, a and b are always RawWords() long; dst may alias a or b.
@@ -126,7 +135,7 @@ func rawExtEncode(e Ext) int64 {
 	if e.IsFinite() {
 		v := e.Int()
 		if v == math.MinInt64 || v == math.MaxInt64 {
-			panic(fmt.Sprintf("lattice: finite interval bound %d collides with the ±∞ sentinel encoding; use the boxed core for values at the int64 extremes", v))
+			panic(fmt.Errorf("%w: finite interval bound %d collides with the ±∞ sentinel encoding; use the boxed core for values at the int64 extremes", ErrUnencodable, v))
 		}
 		return v
 	}
@@ -334,7 +343,8 @@ func RawIntervalMeet(dst, a, b []uint64) {
 }
 
 // rawExtAdd mirrors Ext.Add on words: saturating addition with the same
-// overflow-to-infinity behavior and the same panic on opposite infinities.
+// overflow-to-infinity behavior and the same panic (same value, so an
+// eval-failure abort reads alike on every core) on opposite infinities.
 // A non-overflowing sum that lands exactly on a sentinel value is
 // unencodable and panics, where the boxed arithmetic would produce
 // Fin(MinInt64) or Fin(MaxInt64).
@@ -344,7 +354,7 @@ func rawExtAdd(a, b int64) int64 {
 	switch {
 	case aInf && bInf:
 		if a != b {
-			panic("lattice: adding opposite infinities")
+			panic("lattice: Ext addition of opposite infinities")
 		}
 		return a
 	case aInf:
@@ -360,7 +370,7 @@ func rawExtAdd(a, b int64) int64 {
 		return math.MinInt64
 	}
 	if s == math.MinInt64 || s == math.MaxInt64 {
-		panic(fmt.Sprintf("lattice: interval bound sum %d collides with the ±∞ sentinel encoding", s))
+		panic(fmt.Errorf("%w: interval bound sum %d collides with the ±∞ sentinel encoding", ErrUnencodable, s))
 	}
 	return s
 }
@@ -375,7 +385,7 @@ func rawExtNeg(a int64) int64 {
 		return math.MinInt64
 	}
 	if -a == math.MaxInt64 {
-		panic(fmt.Sprintf("lattice: negated interval bound %d collides with the ±∞ sentinel encoding", -a))
+		panic(fmt.Errorf("%w: negated interval bound %d collides with the ±∞ sentinel encoding", ErrUnencodable, -a))
 	}
 	return -a
 }
@@ -572,7 +582,7 @@ func (l *SetLattice[T]) RawEncode(dst []uint64, d Set[T]) {
 	for e := range d.m {
 		i, ok := l.elemIdx[e]
 		if !ok {
-			panic(fmt.Sprintf("lattice: set element %v is outside the lattice universe", e))
+			panic(fmt.Errorf("%w: set element %v is outside the lattice universe", ErrUnencodable, e))
 		}
 		dst[i>>6] |= uint64(1) << uint(i&63)
 	}

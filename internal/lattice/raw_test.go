@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,28 +57,50 @@ func TestRawIntervalArithmeticAgreement(t *testing.T) {
 		Ints.RawEncode(w, iv)
 		return w
 	}
+	// catch runs f and returns what it panicked with, if anything.
+	catch := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	// Where the boxed operation panics (opposite infinities) the raw one
+	// panics with the same value, so eval-failure aborts read alike on every
+	// core. Where the boxed result is a bound at the int64 extremes the raw
+	// one panics with ErrUnencodable. It may also do so a little early:
+	// RawIntervalSub negates first, and negating MinInt64+1 already lands
+	// on a sentinel. Callers redo such solves on a boxed core, so that costs
+	// speed, not answers. Everywhere else the results agree.
+	unencodable := func(r any) bool {
+		err, ok := r.(error)
+		return ok && errors.Is(err, ErrUnencodable)
+	}
+	check := func(name string, a, b Interval, boxed func() Interval, raw func(dst, a, b []uint64)) {
+		var want Interval
+		bp := catch(func() { want = boxed() })
+		dst := make([]uint64, 2)
+		rp := catch(func() { raw(dst, enc(a), enc(b)) })
+		switch {
+		case bp != nil:
+			if rp != bp {
+				t.Errorf("%s(%s, %s): raw panicked with %v, boxed with %v", name, a, b, rp, bp)
+			}
+		case unencodable(rp):
+		case catch(func() { enc(want) }) != nil:
+			t.Errorf("%s(%s, %s) = %s is unencodable, raw panicked with %v", name, a, b, want, rp)
+		case rp != nil:
+			t.Errorf("%s(%s, %s): raw panicked with %v, boxed returned %s", name, a, b, rp, want)
+		default:
+			if got := Ints.RawDecode(dst); !Ints.Eq(got, want) {
+				t.Errorf("%s(%s, %s) = %s, boxed %s", name, a, b, got, want)
+			}
+		}
+	}
+	// Operands next to the extremes, whose sums and differences land on them.
+	samples = append(samples, Singleton(math.MaxInt64-1), Singleton(math.MinInt64+1), Singleton(1), Singleton(-1))
 	for _, a := range samples {
 		for _, b := range samples {
-			// Skip pairs whose boxed sum is unencodable or panics (opposite
-			// infinities); the raw ops mirror the panic.
-			func() {
-				defer func() { recover() }()
-				want := a.Add(b)
-				dst := make([]uint64, 2)
-				RawIntervalAdd(dst, enc(a), enc(b))
-				if got := Ints.RawDecode(dst); !Ints.Eq(got, want) {
-					t.Errorf("RawIntervalAdd(%s, %s) = %s, boxed %s", a, b, got, want)
-				}
-			}()
-			func() {
-				defer func() { recover() }()
-				want := a.Sub(b)
-				dst := make([]uint64, 2)
-				RawIntervalSub(dst, enc(a), enc(b))
-				if got := Ints.RawDecode(dst); !Ints.Eq(got, want) {
-					t.Errorf("RawIntervalSub(%s, %s) = %s, boxed %s", a, b, got, want)
-				}
-			}()
+			check("RawIntervalAdd", a, b, func() Interval { return a.Add(b) }, RawIntervalAdd)
+			check("RawIntervalSub", a, b, func() Interval { return a.Sub(b) }, RawIntervalSub)
 		}
 	}
 }

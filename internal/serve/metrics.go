@@ -56,7 +56,7 @@ func (m *Metrics) incRejected(class string) {
 }
 
 // finishSolve records one accepted request reaching its terminal state.
-func (m *Metrics) finishSolve(status string, abortReason string, st *solver.Stats, delivered bool) {
+func (m *Metrics) finishSolve(status string, abortReason string, st *solver.Stats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.queueDepth--
@@ -70,14 +70,18 @@ func (m *Metrics) finishSolve(status string, abortReason string, st *solver.Stat
 		// rejection taxonomy.
 		m.rejected["malformed"]++
 	}
-	if !delivered {
-		m.undelivered++
-	}
 	if st != nil {
 		m.totalEvals += uint64(st.Evals)
 		m.totalRetries += uint64(st.Retries)
 		m.totalWallNs += uint64(st.WallNs)
 	}
+}
+
+// incUndelivered records a terminal outcome whose client was gone.
+func (m *Metrics) incUndelivered() {
+	m.mu.Lock()
+	m.undelivered++
+	m.mu.Unlock()
 }
 
 func (m *Metrics) incPreemption() {

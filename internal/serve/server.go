@@ -257,12 +257,17 @@ func (s *Server) dispatch(sess *session, req *proto.Request) {
 	t.finish = func(resp *proto.Response, preempts int) {
 		resp.ID = req.ID
 		resp.Preemptions = preempts
-		delivered := sess.send(resp)
 		reason := ""
 		if resp.Abort != nil {
 			reason = resp.Abort.Reason.String()
 		}
-		s.metrics.finishSolve(resp.Status, reason, resp.Stats, delivered)
+		// Count the outcome before the client can read it: a client that
+		// holds every answer must find the metrics balanced.
+		s.metrics.finishSolve(resp.Status, reason, resp.Stats)
+		delivered := sess.send(resp)
+		if !delivered {
+			s.metrics.incUndelivered()
+		}
 		s.logSolve(req, resp, delivered, time.Since(start))
 		sess.inflight.Add(-1)
 		s.taskWG.Done()

@@ -28,7 +28,7 @@ type Result[X comparable, D any] struct {
 // makes the restarted run's result as sound as an uninterrupted one, but
 // its eval counts are its own.
 func RLD[X comparable, D any](sys eqn.Pure[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, x0 X, cfg Config) (Result[X, D], error) {
-	if cp, err := resumeCheckpoint[X, D](cfg, "rld", 0); err != nil {
+	if cp, err := resumeCheckpoint[X, D](cfg, "rld", nil); err != nil {
 		return Result[X, D]{Values: map[X]D{}}, err
 	} else if cp != nil {
 		init = cp.overlayInit(init)
@@ -256,7 +256,7 @@ func (s *slrState[X, D]) drain(bound int64, solve func(X, bool) error) error {
 //
 // Aborts attach a warm-restart checkpoint; see RLD for the resume contract.
 func SLR[X comparable, D any](sys eqn.Pure[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, x0 X, cfg Config) (Result[X, D], error) {
-	if cp, err := resumeCheckpoint[X, D](cfg, "slr", 0); err != nil {
+	if cp, err := resumeCheckpoint[X, D](cfg, "slr", nil); err != nil {
 		return Result[X, D]{Values: map[X]D{}}, err
 	} else if cp != nil {
 		init = cp.overlayInit(init)
@@ -371,7 +371,7 @@ func SLRPlus[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D], op 
 // globals) restores the invariant the termination proof of Theorem 4 needs:
 // when z is re-evaluated, all of its lower-band readers are stable.
 func SLRPlusKeyed[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, x0 X, band func(X) int, cfg Config) (Result[X, D], error) {
-	if cp, err := resumeCheckpoint[X, D](cfg, "slr+", 0); err != nil {
+	if cp, err := resumeCheckpoint[X, D](cfg, "slr+", nil); err != nil {
 		return Result[X, D]{Values: map[X]D{}}, err
 	} else if cp != nil {
 		init = cp.overlayInit(init)
