@@ -44,8 +44,9 @@ type Stratum struct{ Lo, Hi int }
 // built and safe for concurrent use.
 type Decomposition struct {
 	adj [][]int
-	// rOff/rDat are the readers CSR: the unknowns whose right-hand sides may
-	// read j are rDat[rOff[j]:rOff[j+1]], in ascending order.
+	// rOff/rDat are the influence rows (eqn.InflCSR): j itself, then the
+	// unknowns whose right-hand sides may read j, ascending, at
+	// rDat[rOff[j]:rOff[j+1]].
 	rOff, rDat []int32
 	strata     []stratum
 	stratumOf  []int32
@@ -76,29 +77,13 @@ type coneScratch struct {
 	hit   []int32 // dirty strata
 }
 
-func newDecomposition(adj [][]int) *Decomposition {
-	n := len(adj)
+func newDecomposition(adj [][]int, rOff, rDat []int32) *Decomposition {
 	d := &Decomposition{
 		adj:       adj,
-		rOff:      make([]int32, n+1),
+		rOff:      rOff,
+		rDat:      rDat,
 		strata:    stratify(adj),
-		stratumOf: make([]int32, n),
-	}
-	for _, row := range adj {
-		for _, j := range row {
-			d.rOff[j+1]++
-		}
-	}
-	for j := 0; j < n; j++ {
-		d.rOff[j+1] += d.rOff[j]
-	}
-	d.rDat = make([]int32, d.rOff[n])
-	next := slices.Clone(d.rOff[:n])
-	for i, row := range adj {
-		for _, j := range row {
-			d.rDat[next[j]] = int32(i)
-			next[j]++
-		}
+		stratumOf: make([]int32, len(adj)),
 	}
 	for si, s := range d.strata {
 		for i := s.lo; i <= s.hi; i++ {
@@ -121,11 +106,20 @@ type decompMemo[X comparable, D any] struct{ *Decomposition }
 func (decompMemo[X, D]) PatchRHS(int, eqn.RHS[X, D], eqn.RawRHS[X]) {}
 
 // DecompositionOf returns the memoized decomposition of the system's
-// dependence graph (eqn.System.DepGraph).
+// dependence graph (eqn.System.DepGraph), reading the influence rows of the
+// system's eqn.InflCSR.
 func DecompositionOf[X comparable, D any](sys *eqn.System[X, D]) *Decomposition {
 	return sys.ShapeMemo(decompKey, func() any {
-		return decompMemo[X, D]{newDecomposition(sys.DepGraph())}
+		n := sys.Len()
+		c := sys.InflCSR()
+		return decompMemo[X, D]{newDecomposition(sys.DepGraph(), c.Off[:n+1], c.Dat[:c.Off[n]])}
 	}).(decompMemo[X, D]).Decomposition
+}
+
+// unmemoized builds the decomposition of a bare dependence graph.
+func unmemoized(adj [][]int) *Decomposition {
+	off, dat := eqn.InflOf(adj)
+	return newDecomposition(adj, off, dat)
 }
 
 // Stratify partitions the index line 0..n-1 of a static dependence graph
@@ -134,11 +128,11 @@ func DecompositionOf[X comparable, D any](sys *eqn.System[X, D]) *Decomposition 
 // lies inside a single stratum, and processing strata left to right visits
 // every dependence before its reader. It builds an unmemoized decomposition;
 // DecompositionOf(sys).Strata() is the memoized form.
-func Stratify(adj [][]int) []Stratum { return newDecomposition(adj).Strata() }
+func Stratify(adj [][]int) []Stratum { return unmemoized(adj).Strata() }
 
 // DirtyCone is Decomposition.Cone over an unmemoized decomposition of adj.
 func DirtyCone(adj [][]int, seeds []int) (members []int, dirtyStrata int) {
-	return newDecomposition(adj).Cone(seeds)
+	return unmemoized(adj).Cone(seeds)
 }
 
 // NumStrata returns the number of strata.

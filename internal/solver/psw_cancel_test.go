@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,13 +124,49 @@ func TestPSWDeadlineMidStratum(t *testing.T) {
 		if !ok || rep.Reason != AbortDeadline {
 			t.Fatalf("workers=%d: report = %+v (ok=%v), want reason deadline", workers, rep, ok)
 		}
-		// The report snapshots the counter at the abort; concurrent workers
-		// may legitimately finish evaluations after it, never fewer.
-		if rep.Evals > st.Evals {
-			t.Errorf("workers=%d: report Evals = %d exceeds stats %d", workers, rep.Evals, st.Evals)
+		// Concurrent workers may finish evaluations after the abort trips;
+		// the report carries the final count all the same.
+		if rep.Evals != st.Evals {
+			t.Errorf("workers=%d: report Evals = %d, stats %d, want exact agreement", workers, rep.Evals, st.Evals)
 		}
-		if workers == 1 && rep.Evals != st.Evals {
-			t.Errorf("workers=1: report Evals = %d, stats %d, want exact agreement", rep.Evals, st.Evals)
-		}
+	}
+}
+
+// TestPSWBudgetRacesEvalFailure: with workers = 4, one worker's evaluation
+// is still in flight — holding a budget slot — when another worker trips
+// the budget; the in-flight evaluation then fails and returns its slot. The
+// budget abort reaches the scheduler first, and its report must carry the
+// evaluations actually performed (budget − 1), equal to Stats.Evals.
+func TestPSWBudgetRacesEvalFailure(t *testing.T) {
+	const budget = 20
+	l := lattice.Ints
+	started, countersDone := make(chan struct{}), make(chan struct{})
+	var startOnce, doneOnce sync.Once
+	var counted atomic.Int64
+	sys := eqn.NewSystem[string, iv]()
+	sys.Define("slow", nil, func(func(string) iv) iv {
+		startOnce.Do(func() { close(started) })
+		<-countersDone
+		// Give the worker that trips the budget time to report it first.
+		time.Sleep(50 * time.Millisecond)
+		panic("injected failure")
+	})
+	for c := 0; c < 3; c++ {
+		x := fmt.Sprintf("c%d", c)
+		sys.Define(x, []string{x}, func(get func(string) iv) iv {
+			<-started
+			if counted.Add(1) == budget-1 {
+				doneOnce.Do(func() { close(countersDone) })
+			}
+			return l.Join(lattice.Singleton(0), get(x).Add(lattice.Singleton(1)))
+		})
+	}
+	_, st, err := PSW(sys, l, Op[string](Join[iv](l)), ivInit, Config{Workers: 4, MaxEvals: budget})
+	rep, ok := ReportOf(err)
+	if !ok || rep.Reason != AbortBudget {
+		t.Fatalf("err = %v, want the budget abort to arrive first", err)
+	}
+	if st.Evals != budget-1 || rep.Evals != st.Evals {
+		t.Errorf("report Evals = %d, Stats.Evals = %d, want both %d", rep.Evals, st.Evals, budget-1)
 	}
 }
