@@ -108,13 +108,15 @@ incr-smoke:
 # Bench smoke: the reduced map-vs-dense and dense-vs-unboxed matrices
 # (bit-identity gate + timing sanity, minutes not tens of minutes) plus the
 # -benchmem micro-benchmarks of the solver hot loops — including the
-# zero-alloc unboxed rows — and of cold solves, where every operation
-# compiles a fresh system (the build layer). Keeps the compiled cores' perf
-# claims continuously exercised without regenerating the committed
-# BENCH_*.json artifacts.
+# zero-alloc unboxed rows — of cold solves, where every operation compiles
+# a fresh system (the build layer), and of incremental re-solves: a leaf
+# edit and a Mutate batch with its undo (the write path). Keeps the
+# compiled cores' perf claims continuously exercised without regenerating
+# the committed BENCH_*.json artifacts.
 bench-smoke:
 	go run ./cmd/bench -dense -smoke
 	go run ./cmd/bench -unboxed -smoke
 	go test ./internal/solver -run '^$$' -bench 'BenchmarkRR|BenchmarkSW|BenchmarkSLRThunk|BenchmarkColdSolve' -benchmem -benchtime 50x
+	go test ./internal/incr -run '^$$' -bench 'BenchmarkResolveLeaf|BenchmarkResolveMutate' -benchmem -benchtime 50x
 
 .PHONY: tier1 tier2 chaos-smoke serve-smoke cpw-smoke fuzz race-solver bench-psw bench-mega bench-dense bench-unboxed bench-smoke bench-incr incr-smoke bench-slr slr-smoke

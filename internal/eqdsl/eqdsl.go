@@ -198,11 +198,28 @@ func walk(e Expr, visit func(Expr)) {
 	}
 }
 
-// exprParser is a tiny recursive-descent parser over tokens.
+// MaxDepth bounds how deeply one definition may nest: the operators and
+// parenthesis pairs on any path from the expression's root to a leaf, so a
+// chain a+a+…+a of k operators has depth k, as do k parenthesis pairs
+// around a leaf. The parser and the tree walkers recurse once per level,
+// and a Go stack overflow is fatal — no recover catches it — so a deeper
+// definition is a parse error rather than a crash of the process reading
+// it.
+const MaxDepth = 10000
+
+// errTooDeep reports a definition past MaxDepth.
+var errTooDeep = fmt.Errorf("expression nested deeper than %d levels", MaxDepth)
+
+// exprParser is a tiny recursive-descent parser over tokens. Every parse
+// method returns the depth of the tree it built (see MaxDepth), and nest
+// counts the parenthesis pairs and calls open around the current token —
+// a lower bound on the depth of the enclosing definition, checked before
+// the parser recurses into them.
 type exprParser struct {
 	toks   []string
 	pos    int
 	domain Domain
+	nest   int
 }
 
 func tokenize(s string) []string {
@@ -235,7 +252,7 @@ func tokenize(s string) []string {
 
 func parseExpr(s string, d Domain) (Expr, error) {
 	p := &exprParser{toks: tokenize(s), domain: d}
-	e, err := p.sum()
+	e, _, err := p.sum()
 	if err != nil {
 		return nil, err
 	}
@@ -267,96 +284,121 @@ func (p *exprParser) expect(t string) error {
 	return nil
 }
 
-func (p *exprParser) sum() (Expr, error) {
-	l, err := p.product()
+// binOp builds l op r, one level above the deeper operand.
+func binOp(op string, l Expr, dl int, r Expr, dr int) (Expr, int, error) {
+	d := 1 + max(dl, dr)
+	if d > MaxDepth {
+		return nil, 0, errTooDeep
+	}
+	return &BinOp{Op: op, L: l, R: r}, d, nil
+}
+
+func (p *exprParser) sum() (Expr, int, error) {
+	l, dl, err := p.product()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peek() == "+" || p.peek() == "-" {
 		op := p.next()
-		r, err := p.product()
+		r, dr, err := p.product()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if op == "-" && p.domain == DomainNatInf {
-			return nil, fmt.Errorf("subtraction is not available in the natinf domain")
+			return nil, 0, fmt.Errorf("subtraction is not available in the natinf domain")
 		}
-		l = &BinOp{Op: op, L: l, R: r}
+		if l, dl, err = binOp(op, l, dl, r, dr); err != nil {
+			return nil, 0, err
+		}
 	}
-	return l, nil
+	return l, dl, nil
 }
 
-func (p *exprParser) product() (Expr, error) {
-	l, err := p.atom()
+func (p *exprParser) product() (Expr, int, error) {
+	l, dl, err := p.atom()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peek() == "*" {
 		p.next()
 		if p.domain == DomainNatInf {
-			return nil, fmt.Errorf("multiplication is not available in the natinf domain")
+			return nil, 0, fmt.Errorf("multiplication is not available in the natinf domain")
 		}
-		r, err := p.atom()
+		r, dr, err := p.atom()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		l = &BinOp{Op: "*", L: l, R: r}
+		if l, dl, err = binOp("*", l, dl, r, dr); err != nil {
+			return nil, 0, err
+		}
 	}
-	return l, nil
+	return l, dl, nil
 }
 
-func (p *exprParser) atom() (Expr, error) {
+func (p *exprParser) atom() (Expr, int, error) {
 	switch t := p.next(); {
 	case t == "":
-		return nil, fmt.Errorf("unexpected end of expression")
+		return nil, 0, fmt.Errorf("unexpected end of expression")
 	case t == "(":
-		e, err := p.sum()
-		if err != nil {
-			return nil, err
+		if p.nest++; p.nest > MaxDepth {
+			return nil, 0, errTooDeep
 		}
-		return e, p.expect(")")
+		e, d, err := p.sum()
+		if err != nil {
+			return nil, 0, err
+		}
+		p.nest--
+		if d++; d > MaxDepth {
+			return nil, 0, errTooDeep
+		}
+		return e, d, p.expect(")")
 	case t == "[":
 		if p.domain != DomainInterval {
-			return nil, fmt.Errorf("interval literal in %s domain", p.domain)
+			return nil, 0, fmt.Errorf("interval literal in %s domain", p.domain)
 		}
 		lo, err := p.bound()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(","); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		hi, err := p.bound()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return &Lit{Lo: lo, Hi: hi}, p.expect("]")
+		return &Lit{Lo: lo, Hi: hi}, 0, p.expect("]")
 	case t == "-":
 		// Negative numeric literal.
 		n := p.next()
 		v, err := strconv.ParseInt(n, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("expected number after '-', got %q", n)
+			return nil, 0, fmt.Errorf("expected number after '-', got %q", n)
 		}
-		return p.numberLit(-v)
+		e, err := p.numberLit(-v)
+		return e, 0, err
 	case t == "min" || t == "max" || t == "join" || t == "meet":
 		if err := p.expect("("); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		l, err := p.sum()
+		if p.nest++; p.nest > MaxDepth {
+			return nil, 0, errTooDeep
+		}
+		l, dl, err := p.sum()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(","); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		r, err := p.sum()
+		r, dr, err := p.sum()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(")"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		p.nest--
 		op := t
 		// In a lattice min/max are meet/join; accept both spellings.
 		if op == "min" {
@@ -365,14 +407,15 @@ func (p *exprParser) atom() (Expr, error) {
 		if op == "max" {
 			op = "join"
 		}
-		return &BinOp{Op: op, L: l, R: r}, nil
+		return binOp(op, l, dl, r, dr)
 	case t == "inf":
-		return &Lit{Lo: lattice.PosInf, Hi: lattice.PosInf}, nil
+		return &Lit{Lo: lattice.PosInf, Hi: lattice.PosInf}, 0, nil
 	default:
 		if v, err := strconv.ParseInt(t, 10, 64); err == nil {
-			return p.numberLit(v)
+			e, err := p.numberLit(v)
+			return e, 0, err
 		}
-		return &Var{Name: t}, nil
+		return &Var{Name: t}, 0, nil
 	}
 }
 
@@ -428,6 +471,8 @@ func (f *File) NatSystem() (*eqn.System[string, lattice.Nat], error) {
 // compiled to a fused raw form (eqn.AttachRaw), so the unboxed solver core
 // evaluates them without materializing a boxed Interval; expressions using
 // multiplication or literals outside the raw encoding's range stay boxed.
+// The fused form keeps its scratch on the stack of each evaluation, so
+// concurrent solves of one system are safe.
 func (f *File) IntervalSystem() (*eqn.System[string, lattice.Interval], error) {
 	if f.Domain != DomainInterval {
 		return nil, fmt.Errorf("eqdsl: system has domain %s, not interval", f.Domain)
@@ -439,8 +484,8 @@ func (f *File) IntervalSystem() (*eqn.System[string, lattice.Interval], error) {
 		sys.Define(name, deps, func(get func(string) lattice.Interval) lattice.Interval {
 			return evalInterval(e, get)
 		})
-		if rf, ok := compileIv(e); ok {
-			sys.AttachRaw(name, rf)
+		if prog, ok := compileIv(e); ok {
+			sys.AttachRaw(name, prog.eval)
 		}
 	}
 	return sys, nil
@@ -458,54 +503,125 @@ func tryEncIv(dst []uint64, v lattice.Interval) (ok bool) {
 	return true
 }
 
-// compileIv compiles an interval expression to a closure tree over raw word
-// pairs, mirroring evalInterval node for node. Literals are encoded once at
-// compile time; each binary node owns a private scratch pair, so evaluation
-// allocates nothing. Returns false for expressions the raw layer cannot
-// express (multiplication, unencodable literals) — those stay boxed.
-func compileIv(e Expr) (func(get func(string) []uint64, dst []uint64), bool) {
+// ivStackPairs is the operand-stack capacity, in word pairs, that an
+// interval program evaluates in without allocating: the array lives on the
+// stack of each call, so concurrent evaluations share no scratch. A program
+// that needs more (an expression right-nested deeper than this) takes a
+// heap stack per call instead.
+const ivStackPairs = 8
+
+// ivOp is the operation of one interval-program instruction.
+type ivOp uint8
+
+const (
+	ivLit  ivOp = iota // push the instruction's encoded literal
+	ivVar              // push the value of the named unknown
+	ivAdd              // pop b, then a; push a + b
+	ivSub              // … a - b
+	ivJoin             // … join(a, b)
+	ivMeet             // … meet(a, b)
+)
+
+type ivInstr struct {
+	op   ivOp
+	name string    // ivVar
+	lit  [2]uint64 // ivLit
+}
+
+// ivProg is an interval expression compiled to a flat postfix program over
+// raw word pairs, the fused form IntervalSystem attaches. It mirrors
+// evalInterval node for node — left operand first, so unknowns are read in
+// the same order, and the same operation per node — so it computes the
+// boxed value bit for bit. Literals are encoded once at compile time.
+type ivProg struct {
+	code  []ivInstr
+	depth int // operand-stack height the program needs, in pairs
+}
+
+// compileIv compiles an interval expression to its postfix program.
+// Returns false for expressions the raw layer cannot express
+// (multiplication, unencodable literals) — those stay boxed.
+func compileIv(e Expr) (*ivProg, bool) {
+	p := &ivProg{}
+	if !p.emit(e, 0) {
+		return nil, false
+	}
+	return p, true
+}
+
+// emit appends the code of e, evaluated with h operands already on the
+// stack.
+func (p *ivProg) emit(e Expr, h int) bool {
+	p.depth = max(p.depth, h+1)
 	switch x := e.(type) {
 	case *Lit:
-		w := make([]uint64, 2)
-		if !tryEncIv(w, lattice.NewInterval(x.Lo, x.Hi)) {
-			return nil, false
+		var w [2]uint64
+		if !tryEncIv(w[:], lattice.NewInterval(x.Lo, x.Hi)) {
+			return false
 		}
-		return func(_ func(string) []uint64, dst []uint64) {
-			dst[0], dst[1] = w[0], w[1]
-		}, true
+		p.code = append(p.code, ivInstr{op: ivLit, lit: w})
 	case *Var:
-		name := x.Name
-		return func(get func(string) []uint64, dst []uint64) {
-			t := get(name)
-			dst[0], dst[1] = t[0], t[1]
-		}, true
+		p.code = append(p.code, ivInstr{op: ivVar, name: x.Name})
 	case *BinOp:
-		var apply func(dst, a, b []uint64)
+		var op ivOp
 		switch x.Op {
 		case "+":
-			apply = lattice.RawIntervalAdd
+			op = ivAdd
 		case "-":
-			apply = lattice.RawIntervalSub
+			op = ivSub
 		case "join":
-			apply = lattice.RawIntervalJoin
+			op = ivJoin
 		case "meet":
-			apply = lattice.RawIntervalMeet
+			op = ivMeet
 		default: // "*" has no raw form
-			return nil, false
+			return false
 		}
-		lf, lok := compileIv(x.L)
-		rf, rok := compileIv(x.R)
-		if !lok || !rok {
-			return nil, false
+		if !p.emit(x.L, h) || !p.emit(x.R, h+1) {
+			return false
 		}
-		tmp := make([]uint64, 2)
-		return func(get func(string) []uint64, dst []uint64) {
-			lf(get, dst)
-			rf(get, tmp)
-			apply(dst, dst, tmp)
-		}, true
+		p.code = append(p.code, ivInstr{op: op})
+	default:
+		return false
 	}
-	return nil, false
+	return true
+}
+
+// eval runs the program, an eqn.RawRHS. The RawInterval* operations are
+// called directly, not through func values, so the operand stack does not
+// escape and stays on the stack of the call.
+func (p *ivProg) eval(get func(string) []uint64, dst []uint64) {
+	var buf [ivStackPairs][2]uint64
+	st := buf[:]
+	if p.depth > ivStackPairs {
+		st = make([][2]uint64, p.depth)
+	}
+	sp := 0 // pairs in use
+	for i := range p.code {
+		in := &p.code[i]
+		switch in.op {
+		case ivLit:
+			st[sp] = in.lit
+			sp++
+		case ivVar:
+			t := get(in.name)
+			st[sp] = [2]uint64{t[0], t[1]}
+			sp++
+		default:
+			sp--
+			a, b := st[sp-1][:], st[sp][:]
+			switch in.op {
+			case ivAdd:
+				lattice.RawIntervalAdd(a, a, b)
+			case ivSub:
+				lattice.RawIntervalSub(a, a, b)
+			case ivJoin:
+				lattice.RawIntervalJoin(a, a, b)
+			default:
+				lattice.RawIntervalMeet(a, a, b)
+			}
+		}
+	}
+	dst[0], dst[1] = st[0][0], st[0][1]
 }
 
 // depsOf collects the referenced unknowns.

@@ -2,7 +2,9 @@ package eqdsl
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"warrow/internal/lattice"
@@ -223,12 +225,18 @@ func TestComments(t *testing.T) {
 // expressions the raw layer cannot express (multiplication, sentinel-range
 // literals) are left boxed-only.
 func TestCompiledRawInterval(t *testing.T) {
+	// r is right-nested past the evaluator's stack array, so its program
+	// runs on a heap stack.
+	deep := "b"
+	for i := 0; i < 2*ivStackPairs; i++ {
+		deep = fmt.Sprintf("[%d,%d] - join(h, %s)", i, i+3, deep)
+	}
 	src := `domain interval
 h = join([0,0], b + [1,1])
 b = meet(h, [-inf,99])
 e = meet(h, [100,inf])
 d = h - join(b, [2,5])
-`
+r = ` + deep + "\n"
 	f, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -292,5 +300,93 @@ d = h - join(b, [2,5])
 	}
 	if sys2.RawRHSOf("c") == nil {
 		t.Errorf("c: pure variable sum should compile to a raw form")
+	}
+}
+
+// TestParseDepthBound: a definition may nest MaxDepth levels deep — as
+// parenthesis pairs around a leaf or as an operator chain — and one level
+// more is a parse error naming the line, not a stack overflow in the
+// parser or in a tree walker.
+func TestParseDepthBound(t *testing.T) {
+	parens := func(k int) string { return strings.Repeat("(", k) + "x" + strings.Repeat(")", k) }
+	chain := func(k int) string { return "x" + strings.Repeat(" + 1", k) }
+	for name, expr := range map[string]func(int) string{"parens": parens, "chain": chain} {
+		src := func(k int) string { return "domain natinf\nx = 0\ny = " + expr(k) + "\n" }
+		f, err := Parse(src(MaxDepth))
+		if err != nil {
+			t.Fatalf("%s at the bound: %v", name, err)
+		}
+		sys, err := f.NatSystem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lattice.NatOf(0)
+		if name == "chain" {
+			want = lattice.NatOf(MaxDepth)
+		}
+		if got := sys.RHS("y")(func(string) lattice.Nat { return lattice.NatOf(0) }); !lattice.NatInf.Eq(got, want) {
+			t.Fatalf("%s at the bound evaluates to %v, want %v", name, got, want)
+		}
+		if _, err := Parse(src(MaxDepth + 1)); err == nil || !strings.Contains(err.Error(), "line 3: expression nested deeper") {
+			t.Fatalf("%s past the bound: err = %v, want a depth error on line 3", name, err)
+		}
+	}
+}
+
+// TestConcurrentUnboxedSolves runs SW on the unboxed core over one parsed
+// interval system from four goroutines at once: the fused evaluators share
+// no scratch, so under -race the solves neither race nor disagree.
+func TestConcurrentUnboxedSolves(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("domain interval\n")
+	const n = 32
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "x%d = meet(join([0,0], x%d + [1,1]), [-inf,%d]) - (x%d - join(x%d, [1,2]))\n",
+			i, (i+n-1)%n, 50+i, (i+3)%n, (i+5)%n)
+	}
+	f, err := Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := f.IntervalSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := lattice.Ints
+	solve := func() (map[string]lattice.Interval, error) {
+		sigma, _, err := solver.SW(sys, l, solver.WarrowOp[string](l),
+			func(string) lattice.Interval { return lattice.EmptyInterval },
+			solver.Config{Core: solver.CoreUnboxed, MaxEvals: 1_000_000})
+		return sigma, err
+	}
+	want, err := solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5 && errs[g] == nil; rep++ {
+				got, err := solve()
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				for _, x := range f.Order {
+					if !l.Eq(got[x], want[x]) {
+						errs[g] = fmt.Errorf("%s = %s, want %s", x, l.Format(got[x]), l.Format(want[x]))
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
 	}
 }

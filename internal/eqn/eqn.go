@@ -19,6 +19,7 @@ package eqn
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -57,17 +58,25 @@ type Sides[X comparable, D any] func(x X) SideRHS[X, D]
 // along it, so it should list innermost-loop unknowns first (Bourdoncle).
 type System[X comparable, D any] struct {
 	order []X
-	rhs   map[X]RHS[X, D]
-	deps  map[X][]X
+	// idx is the position of every defined unknown in order. Define grows
+	// it in place and Index returns it: the order never changes once
+	// defined, so no edit invalidates it.
+	idx map[X]int
+	// rhs, deps and raw hold the equations by position: the right-hand
+	// side, its declared dependences and its fused unboxed twin (attached
+	// via AttachRaw; nil entries are evaluated through the boxed boundary
+	// adapter instead).
+	rhs  []RHS[X, D]
+	deps [][]X
+	raw  []RawRHS[X]
 
-	// Derived views (Index, InflCSR, Infl, DepGraph) are memoized: solvers
-	// request them once per solve, and recomputing them is O(edges) each
-	// time. The caches are invalidated by Define and built lazily under mu,
-	// so several solver runs may share one System concurrently once it is
-	// fully defined. Callers must treat the returned maps and slices as
-	// read-only.
+	// Derived views (InflCSR, Infl, DepGraph, ShapeHash) are memoized:
+	// solvers request them once per solve, and recomputing them is
+	// O(edges) each time. The caches are invalidated by Define and built
+	// lazily under mu, so several solver runs may share one System
+	// concurrently once it is fully defined. Callers must treat the
+	// returned maps and slices as read-only.
 	mu       sync.Mutex
-	idx      map[X]int
 	inflCSR  *InflCSR[X]
 	infl     map[X][]X
 	depGraph [][]int
@@ -81,36 +90,58 @@ type System[X comparable, D any] struct {
 	// absorbed. AttachRaw is not journaled: a fused twin must compute the
 	// same value as the boxed form, so attaching one changes no solution.
 	journal []X
-
-	// raw holds the fused unboxed right-hand sides attached via AttachRaw,
-	// keyed by unknown. Nil entries (unknowns without a fused form) are
-	// evaluated through the boxed boundary adapter instead.
-	raw map[X]RawRHS[X]
 }
 
 // NewSystem returns an empty finite system.
 func NewSystem[X comparable, D any]() *System[X, D] {
-	return &System[X, D]{
-		rhs:  make(map[X]RHS[X, D]),
-		deps: make(map[X][]X),
-	}
+	return &System[X, D]{idx: make(map[X]int)}
 }
 
 // Define appends the equation x = rhs with the given static dependence set
 // (a superset of the unknowns rhs actually reads). Defining the same
 // unknown twice panics: equations are single-assignment.
 func (s *System[X, D]) Define(x X, deps []X, rhs RHS[X, D]) *System[X, D] {
-	if _, dup := s.rhs[x]; dup {
+	if _, dup := s.idx[x]; dup {
 		panic(fmt.Sprintf("eqn: duplicate definition of %v", x))
 	}
+	s.idx[x] = len(s.order)
 	s.order = append(s.order, x)
-	s.rhs[x] = rhs
-	s.deps[x] = append([]X(nil), deps...)
+	s.rhs = append(s.rhs, rhs)
+	s.deps = append(s.deps, append([]X(nil), deps...))
+	s.raw = append(s.raw, nil)
 	s.mu.Lock()
-	s.idx, s.inflCSR, s.infl, s.depGraph, s.hasFP, s.memo = nil, nil, nil, nil, false, nil
+	s.inflCSR, s.infl, s.depGraph, s.hasFP, s.memo = nil, nil, nil, false, nil
 	s.journal = append(s.journal, x)
 	s.mu.Unlock()
 	return s
+}
+
+// Induced returns the subsystem of the unknowns at the given distinct
+// positions, in that order, each with its equation, dependence list and
+// fused twin: the system Define and AttachRaw would build from them, in
+// one pass over sized storage, except that its edit journal starts empty.
+// Dependences on unknowns left out stay in the lists, as reads of unknowns
+// the subsystem does not define.
+func (s *System[X, D]) Induced(pos []int) *System[X, D] {
+	n := len(pos)
+	sub := &System[X, D]{
+		order: make([]X, n),
+		idx:   make(map[X]int, n),
+		rhs:   make([]RHS[X, D], n),
+		deps:  make([][]X, n),
+		raw:   make([]RawRHS[X], n),
+	}
+	for k, i := range pos {
+		x := s.order[i]
+		if _, dup := sub.idx[x]; dup {
+			panic(fmt.Sprintf("eqn: duplicate definition of %v", x))
+		}
+		sub.idx[x] = k
+		// A dependence list is never written in place (Redefine replaces
+		// it), so the subsystem shares it.
+		sub.order[k], sub.rhs[k], sub.deps[k], sub.raw[k] = x, s.rhs[i], s.deps[i], s.raw[i]
+	}
+	return sub
 }
 
 // RHSPatcher is implemented by memoized shape derivatives (values stored via
@@ -152,37 +183,18 @@ func (s *System[X, D]) RedefineRaw(x X, deps []X, rhs RHS[X, D], raw RawRHS[X]) 
 }
 
 func (s *System[X, D]) redefine(x X, deps []X, rhs RHS[X, D], raw RawRHS[X]) *System[X, D] {
-	if _, ok := s.rhs[x]; !ok {
+	i, ok := s.idx[x]
+	if !ok {
 		panic(fmt.Sprintf("eqn: Redefine of undefined unknown %v", x))
 	}
-	sameDeps := len(deps) == len(s.deps[x])
-	if sameDeps {
-		for i, d := range deps {
-			if d != s.deps[x][i] {
-				sameDeps = false
-				break
-			}
-		}
-	}
-	s.rhs[x] = rhs
-	if raw != nil {
-		if s.raw == nil {
-			s.raw = make(map[X]RawRHS[X])
-		}
-		s.raw[x] = raw
-	} else {
-		delete(s.raw, x)
-	}
+	sameDeps := slices.Equal(deps, s.deps[i])
+	s.rhs[i], s.raw[i] = rhs, raw
 	if !sameDeps {
-		s.deps[x] = append([]X(nil), deps...)
+		s.deps[i] = append([]X(nil), deps...)
 	}
-	// Index is keyed by position in the order, which Redefine never changes,
-	// so it survives every edit; the remaining shape derivatives survive only
+	// Index is the position map, which Redefine never changes, so it
+	// survives every edit; the remaining shape derivatives survive only
 	// same-dependences edits.
-	var i int
-	if sameDeps {
-		i = s.Index()[x]
-	}
 	s.mu.Lock()
 	if sameDeps {
 		for key, v := range s.memo {
@@ -228,13 +240,11 @@ func (s *System[X, D]) EditsSince(v uint64) []X {
 // that equivalence, it cannot check it. Attaching invalidates memoized
 // shape derivatives so compiled solver cores pick the fused form up.
 func (s *System[X, D]) AttachRaw(x X, raw RawRHS[X]) *System[X, D] {
-	if _, ok := s.rhs[x]; !ok {
+	i, ok := s.idx[x]
+	if !ok {
 		panic(fmt.Sprintf("eqn: AttachRaw for undefined unknown %v", x))
 	}
-	if s.raw == nil {
-		s.raw = make(map[X]RawRHS[X])
-	}
-	s.raw[x] = raw
+	s.raw[i] = raw
 	s.mu.Lock()
 	s.memo = nil
 	s.mu.Unlock()
@@ -242,8 +252,13 @@ func (s *System[X, D]) AttachRaw(x X, raw RawRHS[X]) *System[X, D] {
 }
 
 // RawRHSOf returns the fused unboxed right-hand side of x, or nil if none
-// was attached.
-func (s *System[X, D]) RawRHSOf(x X) RawRHS[X] { return s.raw[x] }
+// was attached or x is not defined.
+func (s *System[X, D]) RawRHSOf(x X) RawRHS[X] {
+	if i, ok := s.idx[x]; ok {
+		return s.raw[i]
+	}
+	return nil
+}
 
 // ShapeMemo caches an arbitrary value derived from the system shape under
 // key, built by build on the first call and invalidated by Define — the
@@ -278,24 +293,25 @@ func (s *System[X, D]) Order() []X { return s.order }
 func (s *System[X, D]) Len() int { return len(s.order) }
 
 // RHS returns the right-hand side of x, or nil if x is not defined.
-func (s *System[X, D]) RHS(x X) RHS[X, D] { return s.rhs[x] }
+func (s *System[X, D]) RHS(x X) RHS[X, D] {
+	if i, ok := s.idx[x]; ok {
+		return s.rhs[i]
+	}
+	return nil
+}
 
-// Deps returns the declared dependences of x.
-func (s *System[X, D]) Deps(x X) []X { return s.deps[x] }
+// Deps returns the declared dependences of x, or nil if x is not defined.
+func (s *System[X, D]) Deps(x X) []X {
+	if i, ok := s.idx[x]; ok {
+		return s.deps[i]
+	}
+	return nil
+}
 
 // Index returns the position of every defined unknown in the linear order.
-// The map is memoized until the next Define; treat it as read-only.
-func (s *System[X, D]) Index() map[X]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.idx == nil {
-		s.idx = make(map[X]int, len(s.order))
-		for i, x := range s.order {
-			s.idx[x] = i
-		}
-	}
-	return s.idx
-}
+// It is the system's own position map, which Define grows in place: it
+// stays current across edits. Treat it as read-only.
+func (s *System[X, D]) Index() map[X]int { return s.idx }
 
 // DepGraph returns the static dependence graph in index space: adj[i] lists
 // the order indices of the unknowns the right-hand side of the i-th unknown
@@ -303,17 +319,25 @@ func (s *System[X, D]) Index() map[X]int {
 // initial value throughout any solve and impose no ordering constraint.
 // The graph is memoized until the next Define; treat it as read-only.
 func (s *System[X, D]) DepGraph() [][]int {
-	idx := s.Index()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.depGraph == nil {
+		// All rows share one backing array, each capped at its end.
+		edges := 0
+		for _, deps := range s.deps {
+			edges += len(deps)
+		}
 		adj := make([][]int, len(s.order))
-		for i, x := range s.order {
-			for _, y := range s.deps[x] {
-				if j, ok := idx[y]; ok {
-					adj[i] = append(adj[i], j)
+		dat := make([]int, 0, edges)
+		pos := s.posOf()
+		for i, deps := range s.deps {
+			lo := len(dat)
+			for _, y := range deps {
+				if j, ok := pos(y); ok {
+					dat = append(dat, j)
 				}
 			}
+			adj[i] = dat[lo:len(dat):len(dat)]
 		}
 		s.depGraph = adj
 	}
@@ -369,38 +393,44 @@ func (c *InflCSR[X]) Row(r int) []int32 { return c.Dat[c.Off[r]:c.Off[r+1]] }
 // memoized until the next Define, or the next Redefine that changes a
 // dependence list.
 func (s *System[X, D]) InflCSR() *InflCSR[X] {
-	idx := s.Index()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.inflCSR == nil {
-		s.inflCSR = s.buildInflCSR(idx)
+		s.inflCSR = s.buildInflCSR()
 	}
 	return s.inflCSR
 }
 
+// posOf returns the position lookup of the system's unknowns: the
+// position map, or, for identity-int systems (IsIdentInt), where an unknown
+// is its own position, a range check.
+func (s *System[X, D]) posOf() func(X) (int, bool) {
+	if IsIdentInt(s.order) {
+		n := len(s.order)
+		return any(func(y int) (int, bool) { return y, uint(y) < uint(n) }).(func(X) (int, bool))
+	}
+	return func(y X) (int, bool) {
+		i, ok := s.idx[y]
+		return i, ok
+	}
+}
+
 // buildInflCSR translates every dependence to its row once — by position,
 // or, for an undefined unknown, by a row numbered from n in first-read
-// order — and hands the row lists to inflRows. For identity-int systems
-// (IsIdentInt) an unknown is its own position and needs no lookup.
-func (s *System[X, D]) buildInflCSR(idx map[X]int) *InflCSR[X] {
+// order — and hands the row lists to inflRows.
+func (s *System[X, D]) buildInflCSR() *InflCSR[X] {
 	n := len(s.order)
 	c := &InflCSR[X]{}
-	row := func(y X) (int, bool) {
-		r, ok := idx[y]
-		return r, ok
-	}
-	if IsIdentInt(s.order) {
-		row = any(func(y int) (int, bool) { return y, uint(y) < uint(n) }).(func(X) (int, bool))
-	}
+	row := s.posOf()
 	edges := 0
-	for _, x := range s.order {
-		edges += len(s.deps[x])
+	for _, deps := range s.deps {
+		edges += len(deps)
 	}
 	depOff := make([]int32, n+1)
 	depRow := make([]int32, 0, edges)
 	var undef map[X]int
-	for i, x := range s.order {
-		for _, y := range s.deps[x] {
+	for i, deps := range s.deps {
+		for _, y := range deps {
 			r, ok := row(y)
 			if !ok {
 				if r, ok = undef[y]; !ok {
@@ -520,9 +550,9 @@ func (s *System[X, D]) ShapeHash() uint64 {
 		}
 		h := fnv.New64a()
 		var line []byte
-		for _, x := range s.order {
+		for i, x := range s.order {
 			line = append(appendKey(line[:0], x), ';')
-			for _, d := range s.deps[x] {
+			for _, d := range s.deps[i] {
 				line = append(appendKey(line, d), ',')
 			}
 			line = append(line, '\n')
@@ -543,13 +573,11 @@ func (s *System[X, D]) Eval(x X, sigma map[X]D, init func(X) D) D {
 		}
 		return init(y)
 	}
-	return s.rhs[x](get)
+	return s.RHS(x)(get)
 }
 
 // AsPure views the finite system as a pure system for the local solvers.
-func (s *System[X, D]) AsPure() Pure[X, D] {
-	return func(x X) RHS[X, D] { return s.rhs[x] }
-}
+func (s *System[X, D]) AsPure() Pure[X, D] { return s.RHS }
 
 // ConstBottom returns an initial assignment mapping every unknown to the
 // lattice's bottom element.
@@ -572,8 +600,8 @@ func IsPostSolution[X comparable, D any](l lattice.Lattice[D], s *System[X, D], 
 		}
 		return init(y)
 	}
-	for _, x := range s.order {
-		if !l.Leq(s.rhs[x](get), get(x)) {
+	for i, x := range s.order {
+		if !l.Leq(s.rhs[i](get), get(x)) {
 			return x, false
 		}
 	}
@@ -591,8 +619,8 @@ func IsCombineSolution[X comparable, D any](l lattice.Lattice[D], combine func(o
 		}
 		return init(y)
 	}
-	for _, x := range s.order {
-		if !l.Eq(get(x), combine(get(x), s.rhs[x](get))) {
+	for i, x := range s.order {
+		if !l.Eq(get(x), combine(get(x), s.rhs[i](get))) {
 			return x, false
 		}
 	}

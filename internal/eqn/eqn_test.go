@@ -36,6 +36,13 @@ func TestSystemBasics(t *testing.T) {
 	if d := s.Deps("b"); len(d) != 1 || d[0] != "a" {
 		t.Fatalf("Deps(b) = %v", d)
 	}
+	if d := s.Deps("missing"); d != nil {
+		t.Fatalf("Deps(missing) = %v", d)
+	}
+	s.AttachRaw("b", func(func(string) []uint64, []uint64) {})
+	if s.RawRHSOf("b") == nil || s.RawRHSOf("a") != nil || s.RawRHSOf("missing") != nil {
+		t.Fatal("RawRHSOf lookup")
+	}
 }
 
 func TestEvalReadsInitForAbsent(t *testing.T) {
@@ -200,8 +207,9 @@ func TestIsPartialPostSolution(t *testing.T) {
 }
 
 // TestDerivedViewsMemoized pins the memoization contract: Index, Infl and
-// DepGraph return the cached storage on repeated calls, and Define
-// invalidates all three caches.
+// DepGraph return the cached storage on repeated calls, Define invalidates
+// the Infl and DepGraph caches, and Index — the live position map — gains
+// the new unknown in place.
 func TestDerivedViewsMemoized(t *testing.T) {
 	s := two()
 	samePtr := func(a, b any) bool {
@@ -220,11 +228,11 @@ func TestDerivedViewsMemoized(t *testing.T) {
 
 	s.Define("c", []string{"b"}, func(get func(string) iv) iv { return get("b") })
 	idx2, infl2, adj2 := s.Index(), s.Infl(), s.DepGraph()
-	if samePtr(idx, idx2) || samePtr(infl, infl2) || samePtr(adj, adj2) {
+	if samePtr(infl, infl2) || samePtr(adj, adj2) {
 		t.Fatal("Define did not invalidate the caches")
 	}
-	if idx2["c"] != 2 {
-		t.Fatalf("Index[c] = %d after Define", idx2["c"])
+	if len(idx2) != 3 || idx2["a"] != 0 || idx2["b"] != 1 || idx2["c"] != 2 {
+		t.Fatalf("Index = %v after Define", idx2)
 	}
 	found := false
 	for _, x := range infl2["b"] {

@@ -24,14 +24,26 @@ func chainSys(c int64) *System[int, lattice.Interval] {
 
 func TestRedefineUndefinedPanics(t *testing.T) {
 	sys := chainSys(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Redefine of an undefined unknown did not panic")
-		}
-	}()
-	sys.Redefine(99, nil, func(get func(int) lattice.Interval) lattice.Interval {
-		return lattice.Singleton(0)
-	})
+	for name, edit := range map[string]func(){
+		"Redefine": func() {
+			sys.Redefine(99, nil, func(get func(int) lattice.Interval) lattice.Interval {
+				return lattice.Singleton(0)
+			})
+		},
+		"AttachRaw": func() { sys.AttachRaw(99, func(func(int) []uint64, []uint64) {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s of an undefined unknown did not panic", name)
+				}
+			}()
+			edit()
+		}()
+	}
+	if sys.Len() != 4 || len(sys.Index()) != 4 || sys.RawRHSOf(99) != nil {
+		t.Fatal("a rejected edit of an undefined unknown changed the system")
+	}
 }
 
 func TestEditJournal(t *testing.T) {
@@ -195,4 +207,46 @@ func sameIntMap(a, b map[int]int) bool {
 		}
 	}
 	return true
+}
+
+// TestInduced: the induced subsystem of some positions is the system Define
+// and AttachRaw build from those unknowns — same order, positions,
+// dependence lists (reads of left-out unknowns included), equations, fused
+// twins and shape fingerprint — and a repeated position panics like a
+// duplicate Define.
+func TestInduced(t *testing.T) {
+	sys := chainSys(1)
+	raw := func(func(int) []uint64, []uint64) {}
+	sys.AttachRaw(3, raw)
+	sub := sys.Induced([]int{2, 3})
+	want := NewSystem[int, lattice.Interval]()
+	for _, x := range []int{2, 3} {
+		want.Define(x, sys.Deps(x), sys.RHS(x))
+	}
+	want.AttachRaw(3, raw)
+	if got := sub.Order(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("Order = %v, want [2 3]", got)
+	}
+	if !sameIntMap(sub.Index(), want.Index()) {
+		t.Fatalf("Index = %v, want %v", sub.Index(), want.Index())
+	}
+	if d := sub.Deps(2); len(d) != 1 || d[0] != 1 {
+		t.Fatalf("Deps(2) = %v, want [1]", d)
+	}
+	if sub.RawRHSOf(2) != nil || sub.RawRHSOf(3) == nil || sub.RHS(1) != nil {
+		t.Fatal("Induced carried the wrong equations or fused twins")
+	}
+	got := sub.RHS(3)(func(y int) lattice.Interval { return lattice.Singleton(int64(10 * y)) })
+	if !lattice.Ints.Eq(got, lattice.Singleton(20)) {
+		t.Fatalf("RHS(3) evaluates to %s, want [20,20]", lattice.Ints.Format(got))
+	}
+	if sub.ShapeHash() != want.ShapeHash() {
+		t.Fatal("Induced fingerprints differently from the system Define builds")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Induced with a repeated position did not panic")
+		}
+	}()
+	sys.Induced([]int{1, 1})
 }

@@ -39,6 +39,7 @@ package incr
 
 import (
 	"fmt"
+	"maps"
 
 	"warrow/internal/eqn"
 	"warrow/internal/lattice"
@@ -91,7 +92,10 @@ func Perturb[X comparable, D any](x X, v D) Edit[X, D] {
 // plus the delta accounting of how much work the edit actually cost.
 type Result[X comparable, D any] struct {
 	// Values is the complete assignment for the whole system — reused finals
-	// outside the cone, freshly solved values inside it.
+	// outside the cone, freshly solved values inside it. It is the engine's
+	// live assignment, not a copy: the next successful Resolve merges its
+	// cone into this same map in place. Treat it as read-only;
+	// Engine.Values returns a snapshot that later re-solves leave alone.
 	Values map[X]D
 	// Stats records the re-solve's work only: evaluations of reused unknowns
 	// never happen, so they are not counted anywhere.
@@ -115,9 +119,8 @@ type Engine[X comparable, D any] struct {
 	init       func(X) D
 	solverName string
 
-	overrides map[X]D // accumulated σ₀ perturbations, part of the live init
-	prev      map[X]D // finals of the last completed solve
-	solved    bool
+	overrides map[X]D    // accumulated σ₀ perturbations, part of the live init
+	prev      map[X]D    // live assignment; nil until the first Solve completes
 	version   uint64     // journal cursor: sys edits past this are pending
 	perturbed map[X]bool // pending perturbation seeds
 }
@@ -178,17 +181,28 @@ func (e *Engine[X, D]) Solve(cfg solver.Config) (*Result[X, D], error) {
 	if err != nil {
 		return nil, err
 	}
-	e.prev = sigma
-	e.solved = true
-	e.version = e.sys.Version()
-	e.perturbed = nil
-	n := e.sys.Len()
+	e.absorb(sigma)
 	return &Result[X, D]{
-		Values:        sigma,
+		Values:        e.prev,
 		Stats:         st,
-		DirtyUnknowns: n,
+		DirtyUnknowns: e.sys.Len(),
 		ConeStrata:    solver.DecompositionOf(e.sys).NumStrata(),
 	}, nil
+}
+
+// absorb merges a completed solve's values into the live assignment, in
+// place, and consumes the pending batch. Only the solved unknowns are
+// written, so merging a cone re-solve costs O(cone).
+func (e *Engine[X, D]) absorb(sigma map[X]D) {
+	if e.prev == nil {
+		e.prev = sigma
+	} else {
+		for x, v := range sigma {
+			e.prev[x] = v
+		}
+	}
+	e.version = e.sys.Version()
+	e.perturbed = nil
 }
 
 // Apply stages a batch of edits. Redefinitions are applied to the system
@@ -256,13 +270,14 @@ func (e *Engine[X, D]) pending() []int {
 
 // Resolve re-solves the staged edit batch and returns the merged delta
 // result. It requires a completed Solve. On success the engine advances (the
-// merged assignment becomes the new baseline and the batch is consumed); on
-// an abort the batch stays pending, and a later Resolve — with a larger
-// budget, or resuming the abort's checkpoint via cfg.Resume — continues.
+// cone's values are merged into the live assignment, which the result
+// returns, and the batch is consumed); on an abort nothing is merged, the
+// batch stays pending, and a later Resolve — with a larger budget, or
+// resuming the abort's checkpoint via cfg.Resume — continues.
 // The subsystem a checkpoint was taken on is rebuilt deterministically from
 // the system and the pending batch, so the fingerprint matches.
 func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
-	if !e.solved {
+	if e.prev == nil {
 		return nil, fmt.Errorf("incr: Resolve before a completed Solve")
 	}
 	n := e.sys.Len()
@@ -271,7 +286,7 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 		// Perturbations that reach no reader are consumed here, so later
 		// calls do not look them up again.
 		e.perturbed = nil
-		return &Result[X, D]{Values: copyMap(e.prev), ReusedUnknowns: n}, nil
+		return &Result[X, D]{Values: e.prev, ReusedUnknowns: n}, nil
 	}
 
 	if e.solverName == "rr" || e.solverName == "w" {
@@ -282,11 +297,9 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 		if err != nil {
 			return nil, err
 		}
-		e.prev = sigma
-		e.version = e.sys.Version()
-		e.perturbed = nil
+		e.absorb(sigma)
 		return &Result[X, D]{
-			Values:        sigma,
+			Values:        e.prev,
 			Stats:         st,
 			DirtyUnknowns: n,
 			ConeStrata:    solver.DecompositionOf(e.sys).NumStrata(),
@@ -294,24 +307,15 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 	}
 
 	members, coneStrata := solver.DecompositionOf(e.sys).Cone(seeds)
-	order := e.sys.Order()
-	sub := eqn.NewSystem[X, D]()
-	inCone := make(map[X]bool, len(members))
-	for _, i := range members {
-		x := order[i]
-		sub.Define(x, e.sys.Deps(x), e.sys.RHS(x))
-		if raw := e.sys.RawRHSOf(x); raw != nil {
-			sub.AttachRaw(x, raw)
-		}
-		inCone[x] = true
-	}
+	sub := e.sys.Induced(members)
+	inCone := sub.Index()
 	effInit := e.Init()
 	prev := e.prev
 	// Inside the cone the solve restarts from σ₀ — re-arming ⊟'s widening
 	// phase — while reads that escape the subsystem are pinned at the
 	// previous finals (or at σ₀ for unknowns no solve has ever defined).
 	init := func(y X) D {
-		if inCone[y] {
+		if _, ok := inCone[y]; ok {
 			return effInit(y)
 		}
 		if v, ok := prev[y]; ok {
@@ -323,15 +327,9 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 	if err != nil {
 		return nil, err
 	}
-	merged := copyMap(prev)
-	for x, v := range sigma {
-		merged[x] = v
-	}
-	e.prev = merged
-	e.version = e.sys.Version()
-	e.perturbed = nil
+	e.absorb(sigma)
 	return &Result[X, D]{
-		Values:         merged,
+		Values:         e.prev,
 		Stats:          st,
 		DirtyUnknowns:  len(members),
 		ReusedUnknowns: n - len(members),
@@ -339,15 +337,8 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 	}, nil
 }
 
-// Values returns the engine's current baseline assignment (the last
-// completed solve's finals), or nil before the first Solve. Callers must
-// treat it as read-only.
-func (e *Engine[X, D]) Values() map[X]D { return e.prev }
-
-func copyMap[X comparable, D any](m map[X]D) map[X]D {
-	out := make(map[X]D, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
+// Values returns a snapshot of the engine's live assignment (the finals of
+// the last completed solve), or nil before the first Solve. Unlike
+// Result.Values, the snapshot is the caller's own: later re-solves do not
+// change it.
+func (e *Engine[X, D]) Values() map[X]D { return maps.Clone(e.prev) }

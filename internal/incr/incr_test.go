@@ -3,6 +3,7 @@ package incr
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"warrow/internal/eqgen"
@@ -94,6 +95,57 @@ func TestNoEditFastPath(t *testing.T) {
 		t.Fatalf("no-edit resolve evaluated %d times", res.Stats.Evals)
 	}
 	mustEqual(t, sys, res.Values, first.Values)
+}
+
+// TestLiveValuesContract pins what a result's Values is: the engine's
+// live assignment, which a later Resolve updates in place (and a no-edit
+// or aborted one leaves as it is), while Engine.Values is a snapshot.
+func TestLiveValuesContract(t *testing.T) {
+	sys := chain(24, 0)
+	e, _ := New(l, sys, eqn.ConstBottom[int, lattice.Interval](l), "sw")
+	cfg := solver.Config{MaxEvals: 100_000}
+	first, err := e.Solve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := first.Values
+	samePtr := func(a, b map[int]lattice.Interval) bool {
+		return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+	}
+	snap := e.Values()
+	if samePtr(snap, live) {
+		t.Fatal("Values returned the live assignment, not a snapshot")
+	}
+	res, err := e.Resolve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePtr(res.Values, live) {
+		t.Fatal("no-edit Resolve returned a copy of the assignment")
+	}
+
+	e.Apply(Redefine(10, []int{9}, func(get func(int) lattice.Interval) lattice.Interval {
+		return l.Join(get(9), lattice.Singleton(100))
+	}))
+	if _, err := e.Resolve(solver.Config{MaxEvals: 3}); err == nil {
+		t.Fatal("budget 3 did not abort the cone re-solve")
+	}
+	mustEqual(t, sys, live, snap)
+
+	res, err = e.Resolve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePtr(res.Values, live) {
+		t.Fatal("Resolve returned a map other than the live assignment")
+	}
+	if got := live[23]; !l.Eq(got, lattice.Range(0, 100)) {
+		t.Fatalf("held result's chain tail = %s after the re-solve, want [0,100]", l.Format(got))
+	}
+	if got := snap[23]; !l.Eq(got, lattice.Range(0, 23)) {
+		t.Fatalf("snapshot's chain tail = %s after the re-solve, want [0,23]", l.Format(got))
+	}
+	mustEqual(t, sys, live, scratch(t, e, sys, cfg))
 }
 
 func TestConeIsSuffixOfChain(t *testing.T) {
@@ -313,10 +365,9 @@ func TestUnreachedPerturbationConsumed(t *testing.T) {
 	}
 }
 
-// leafEngine solves an N-unknown eqgen interval system with sw and returns
-// the engine with a leaf redefinition of the last unknown (same
-// dependences, fresh constant material) applied but not yet re-solved.
-func leafEngine(tb testing.TB, n int) (*Engine[int, lattice.Interval], func(mat uint64)) {
+// solvedEngine solves an N-unknown eqgen interval system with sw and
+// returns the engine with the generated system.
+func solvedEngine(tb testing.TB, n int) (*Engine[int, lattice.Interval], eqgen.System) {
 	tb.Helper()
 	g := eqgen.New(eqgen.Config{Seed: 13, Dom: eqgen.Interval, N: n})
 	e, err := New(l, g.Interval, eqn.ConstBottom[int, lattice.Interval](l), "sw")
@@ -326,6 +377,15 @@ func leafEngine(tb testing.TB, n int) (*Engine[int, lattice.Interval], func(mat 
 	if _, err := e.Solve(solver.Config{}); err != nil {
 		tb.Fatal(err)
 	}
+	return e, g
+}
+
+// leafEngine returns a solved engine (solvedEngine) with a leaf
+// redefinition of the last unknown (same dependences, fresh constant
+// material) applied but not yet re-solved.
+func leafEngine(tb testing.TB, n int) (*Engine[int, lattice.Interval], func(mat uint64)) {
+	tb.Helper()
+	e, g := solvedEngine(tb, n)
 	edit := func(mat uint64) {
 		sp := g.Shape.SpecOf(n - 1)
 		sp.Mat = mat
@@ -353,6 +413,32 @@ func TestLeafConeAllocsIndependentOfN(t *testing.T) {
 	}
 }
 
+// TestLeafResolveBytesIndependentOfN pins a whole leaf edit and its
+// Resolve at O(cone): the bytes it allocates may not grow with the system,
+// so N = 4096 allocates at most twice what N = 256 does. Materializing a
+// full result map per re-solve would scale with N.
+func TestLeafResolveBytesIndependentOfN(t *testing.T) {
+	var perOp []int64
+	for _, n := range []int{256, 4096} {
+		e, edit := leafEngine(t, n)
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				edit(uint64(i + 2))
+				if _, err := e.Resolve(solver.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if r.N == 0 {
+			t.Fatalf("N=%d: the leaf re-solve failed", n)
+		}
+		perOp = append(perOp, r.AllocedBytesPerOp())
+	}
+	if perOp[1] > 2*perOp[0] {
+		t.Fatalf("leaf Resolve allocates %d B/op at N=256 but %d B/op at N=4096", perOp[0], perOp[1])
+	}
+}
+
 // BenchmarkResolveLeaf measures one leaf edit and its re-solve through the
 // engine, the common edit of an incremental session.
 func BenchmarkResolveLeaf(b *testing.B) {
@@ -371,5 +457,30 @@ func BenchmarkResolveLeaf(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkResolveMutate measures an eqgen.Mutate batch of 1–4 edits and
+// its undo — the edited unknowns redefined back to their generated specs —
+// each re-solved through the engine at N = 4096. eqgen's backward edges
+// give a random edit a cone of about half the system, so this is the
+// expensive operation of an edit stream.
+func BenchmarkResolveMutate(b *testing.B) {
+	e, g := solvedEngine(b, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edited := eqgen.Mutate(g, uint64(i), 1+i%4)
+		if _, err := e.Resolve(solver.Config{}); err != nil {
+			b.Fatal(err)
+		}
+		for _, x := range edited {
+			sp := g.Shape.SpecOf(x)
+			rhs, raw := eqgen.IntervalRHS(sp)
+			e.Apply(RedefineRaw(x, sp.Deps, rhs, raw))
+		}
+		if _, err := e.Resolve(solver.Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

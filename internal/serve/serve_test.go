@@ -9,6 +9,7 @@ import (
 	"warrow/internal/certify"
 	"warrow/internal/chaos"
 	"warrow/internal/ckptcodec"
+	"warrow/internal/eqdsl"
 	"warrow/internal/eqgen"
 	"warrow/internal/eqn"
 	"warrow/internal/lattice"
@@ -346,6 +347,31 @@ func TestServeMalformedEnvelopeKeepsSession(t *testing.T) {
 	}
 	if resp.ID != 7 || resp.Status != proto.StatusCompleted {
 		t.Fatalf("request after garbage: %+v", resp)
+	}
+}
+
+// TestServeRejectsTooDeepSystem: a .eq system nested one level past
+// eqdsl.MaxDepth is rejected at admission with the parse error, instead of
+// risking a fatal stack overflow in the daemon, and the connection then
+// serves a normal request.
+func TestServeRejectsTooDeepSystem(t *testing.T) {
+	_, addr := startServer(t, Options{Workers: 1})
+	c := dialT(t, addr)
+	k := eqdsl.MaxDepth + 1
+	deep := "domain interval\nx = " + strings.Repeat("(", k) + "1" + strings.Repeat(")", k) + "\n"
+	resp, err := c.Do(&proto.Request{Solver: "sw", Source: proto.SourceEq, System: deep, MaxEvals: 100000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != proto.StatusRejected || !strings.Contains(resp.Reason, "line 2: expression nested deeper") {
+		t.Fatalf("too-deep system: %s (%s), want rejected with the depth error", resp.Status, resp.Reason)
+	}
+	resp, err = c.Do(&proto.Request{Solver: "sw", Source: proto.SourceEq, System: loopEq, MaxEvals: 100000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != proto.StatusCompleted {
+		t.Fatalf("request after the rejection: %s (%s), want completed", resp.Status, resp.Reason)
 	}
 }
 

@@ -1,8 +1,11 @@
 package solver
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"warrow/internal/eqdsl"
 	"warrow/internal/eqgen"
 	"warrow/internal/eqn"
 	"warrow/internal/lattice"
@@ -17,11 +20,11 @@ import (
 // rawStepper builds the unboxed core for sys and fails the test if buildCore
 // falls back to boxed values — an alloc measurement of the wrong core would
 // pass vacuously.
-func rawStepper[D any](t *testing.T, sys *eqn.System[int, D], l lattice.Lattice[D]) (func(i int) (bool, int, *EvalError), int) {
+func rawStepper[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D]) (func(i int) (bool, int, *EvalError), int) {
 	t.Helper()
-	vc, _ := buildCore(sys, l, WarrowOp[int, D](l), eqn.ConstBottom[int, D](l), Config{})
+	vc, _ := buildCore(sys, l, WarrowOp[X, D](l), eqn.ConstBottom[X, D](l), Config{})
 	t.Cleanup(vc.release)
-	if _, ok := vc.(*rawCore[int, D]); !ok {
+	if _, ok := vc.(*rawCore[X, D]); !ok {
 		t.Fatalf("buildCore returned %T, want *rawCore (raw gate regressed)", vc)
 	}
 	return vc.stepper(), len(vc.shape().order)
@@ -49,6 +52,31 @@ func TestUnboxedIntervalEvalAllocFree(t *testing.T) {
 	step, n := rawStepper(t, g.Interval, lattice.Ints)
 	if a := passAllocs(step, n); a != 0 {
 		t.Fatalf("unboxed interval hot path allocates %.2f/eval, want 0", a)
+	}
+}
+
+// TestUnboxedEqdslIntervalEvalAllocFree: the postfix programs eqdsl
+// attaches to parsed interval systems keep their operand stack on the
+// stack of each evaluation.
+func TestUnboxedEqdslIntervalEvalAllocFree(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("domain interval\n")
+	const n = 64
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "x%d = meet(join([0,0], x%d + [1,1]), [-inf,%d]) - (x%d - join(x%d, [1,2]))\n",
+			i, (i+n-1)%n, 50+i, (i+3)%n, (i+5)%n)
+	}
+	f, err := eqdsl.Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := f.IntervalSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, nn := rawStepper(t, sys, lattice.Lattice[lattice.Interval](lattice.Ints))
+	if a := passAllocs(step, nn); a != 0 {
+		t.Fatalf("unboxed eqdsl interval hot path allocates %.2f/eval, want 0", a)
 	}
 }
 
