@@ -152,3 +152,101 @@ func TestUnboxedPowersetEvalAllocFloor(t *testing.T) {
 		t.Fatalf("powerset boundary adapter allocates %.2f/eval, want <= 32", a)
 	}
 }
+
+// boundedRing is an n-unknown interval ring whose right-hand sides allocate
+// nothing: x0 = [0,0] ⊔ (x[n-1] + 1) and x[i] = x[i-1] for i > 0, each
+// clamped to [0, k]. Under plain join every trip around the ring raises
+// each unknown's upper bound by one, so a solve performs about n·k updates
+// over the same n unknowns. Unknown n is a sink: every x[i] side-effects
+// its value onto it, and x0 also reads it, for SLR⁺. The right-hand sides
+// are built once, so sys and sides return existing closures.
+func boundedRing(n int, k int64) (eqn.Pure[int, lattice.Interval], eqn.Sides[int, lattice.Interval]) {
+	l := lattice.Ints
+	clamp := lattice.NewInterval(lattice.Fin(0), lattice.Fin(k))
+	pure := make([]eqn.RHS[int, lattice.Interval], n)
+	sides := make([]eqn.SideRHS[int, lattice.Interval], n)
+	for i := 0; i < n; i++ {
+		prev := (i + n - 1) % n
+		step := lattice.Singleton(0)
+		if i == 0 {
+			step = lattice.Singleton(1)
+		}
+		pure[i] = func(get func(int) lattice.Interval) lattice.Interval {
+			return l.Meet(l.Join(lattice.Singleton(0), get(prev).Add(step)), clamp)
+		}
+		sides[i] = func(get func(int) lattice.Interval, side func(int, lattice.Interval)) lattice.Interval {
+			v := l.Meet(l.Join(lattice.Singleton(0), get(prev).Add(step)), clamp)
+			if i == 0 {
+				v = l.Meet(l.Join(v, get(n).Add(step)), clamp)
+			}
+			side(n, v)
+			return v
+		}
+	}
+	return func(x int) eqn.RHS[int, lattice.Interval] {
+			if x < n {
+				return pure[x]
+			}
+			return nil
+		}, func(x int) eqn.SideRHS[int, lattice.Interval] {
+			if x < n {
+				return sides[x]
+			}
+			return nil
+		}
+}
+
+// TestLocalSolverAllocsFlatInUpdates pins that SLR's and SLR⁺'s
+// bookkeeping allocates per discovered unknown, never per update: on the
+// same ring, ten times the updates must not cost more allocations. The
+// numbered store resets influence rows in place and queues numbers in a
+// reused heap, so only discovery and the final Values map allocate.
+func TestLocalSolverAllocsFlatInUpdates(t *testing.T) {
+	const n = 200
+	l := lattice.Lattice[lattice.Interval](lattice.Ints)
+	op := JoinOp[int, lattice.Interval](l)
+	init := func(int) lattice.Interval { return lattice.EmptyInterval }
+	solvers := []struct {
+		name string
+		run  func(k int64) Stats
+	}{
+		{"slr", func(k int64) Stats {
+			pure, _ := boundedRing(n, k)
+			res, err := SLR(pure, l, op, init, 0, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats
+		}},
+		{"slr+", func(k int64) Stats {
+			_, sides := boundedRing(n, k)
+			res, err := SLRPlus(sides, l, op, init, 0, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats
+		}},
+	}
+	for _, s := range solvers {
+		t.Run(s.name, func(t *testing.T) {
+			measure := func(k int64) (float64, Stats) {
+				st := s.run(k)
+				// boundedRing's own closures are counted too; they are the
+				// same for every k.
+				return testing.AllocsPerRun(5, func() { s.run(k) }), st
+			}
+			few, stFew := measure(4)
+			many, stMany := measure(40)
+			extra := stMany.Updates - stFew.Updates
+			if extra < 10*n {
+				t.Fatalf("ring did not scale its updates: %d at k=4, %d at k=40", stFew.Updates, stMany.Updates)
+			}
+			t.Logf("k=4: %d updates, %.0f allocs; k=40: %d updates, %.0f allocs",
+				stFew.Updates, few, stMany.Updates, many)
+			if per := (many - few) / float64(extra); per > 0.01 {
+				t.Fatalf("%.3f allocs per extra update (%.0f → %.0f allocs for %d extra updates), want none",
+					per, few, many, extra)
+			}
+		})
+	}
+}

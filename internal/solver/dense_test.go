@@ -51,7 +51,7 @@ func TestBucketQueueMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		bq := newBucketQueue(0, n-1)
-		heap := newPQ[int]()
+		var heap idHeap
 		for step := 0; step < 2000; step++ {
 			if bq.len() != heap.len() {
 				t.Fatalf("trial %d: len %d vs heap %d", trial, bq.len(), heap.len())
@@ -59,9 +59,9 @@ func TestBucketQueueMatchesHeap(t *testing.T) {
 			if bq.empty() || rng.Intn(3) != 0 {
 				i := rng.Intn(n)
 				bq.push(i)
-				heap.push(i, int64(i))
+				heap.push(int32(i), int64(i))
 			} else {
-				got, want := bq.popMin(), heap.popMin()
+				got, want := bq.popMin(), int(heap.popMin())
 				if got != want {
 					t.Fatalf("trial %d step %d: popMin %d, heap %d", trial, step, got, want)
 				}

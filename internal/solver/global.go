@@ -347,7 +347,9 @@ func swMap[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op 
 	st.Unknowns = len(order)
 	infl := sys.Infl()
 
-	q := newPQ[X]()
+	// The queue holds order positions, each its own key.
+	var q idHeap
+	push := func(i int) { q.push(int32(i), int64(i)) }
 	if cp, err := resumeCheckpoint(cfg, "sw", sys); err != nil {
 		return sigma, st, err
 	} else if cp != nil {
@@ -356,19 +358,29 @@ func swMap[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op 
 		}
 		cp.restoreStats(&st)
 		for _, x := range cp.Queue {
-			q.push(x, int64(idx[x]))
+			i, ok := idx[x]
+			if !ok {
+				return sigma, st, fmt.Errorf("%w: queued unknown %v is not in the system", ErrBadCheckpoint, x)
+			}
+			push(i)
 		}
 	} else {
-		for _, x := range order {
-			q.push(x, int64(idx[x]))
+		for i := range order {
+			push(i)
 		}
 		st.MaxQueue = q.len()
 	}
 	capture := func() *Checkpoint[X, D] {
 		c := snapshotGlobal("sw", sys, sigma, st)
-		queued := append([]X(nil), q.heap...)
-		sort.Slice(queued, func(i, j int) bool { return idx[queued[i]] < idx[queued[j]] })
-		c.Queue = queued
+		queued := make([]int, len(q.heap))
+		for k, e := range q.heap {
+			queued[k] = int(e.id)
+		}
+		sort.Ints(queued)
+		c.Queue = make([]X, len(queued))
+		for k, i := range queued {
+			c.Queue[k] = order[i]
+		}
 		return c
 	}
 	setCur, thunk := mapEvaluator(sys, sigma, init)
@@ -379,14 +391,15 @@ func swMap[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op 
 		if ck.due(st.Evals) {
 			ck.emit(st.Evals, capture())
 		}
-		x := q.popMin()
+		i := int(q.popMin())
+		x := order[i]
 		setCur(x)
 		rhsVal, attempts, ee := guardedEval(g, x, thunk)
 		st.Retries += attempts - 1
 		if ee != nil {
 			// The failed evaluation never happened: keep x scheduled so the
 			// checkpoint resumes by re-evaluating it.
-			q.push(x, int64(idx[x]))
+			push(i)
 			return sigma, st, attachCheckpoint(wd.failEval(ee, st.Evals), capture())
 		}
 		st.Evals++
@@ -394,9 +407,9 @@ func swMap[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op 
 		if !l.Eq(sigma[x], next) {
 			sigma[x] = next
 			st.Updates++
-			q.push(x, int64(idx[x]))
+			push(i)
 			for _, y := range infl[x] {
-				q.push(y, int64(idx[y]))
+				push(idx[y])
 			}
 			if q.len() > st.MaxQueue {
 				st.MaxQueue = q.len()

@@ -463,36 +463,40 @@ func TestSWEvaluationCountTheorem2(t *testing.T) {
 
 // TestPQOrdering: the priority queue pops in key order and dedups pushes.
 func TestPQOrdering(t *testing.T) {
-	q := newPQ[string]()
-	q.push("c", 3)
-	q.push("a", 1)
-	q.push("b", 2)
-	q.push("a", 1) // dup: no-op
+	var q idHeap
+	q.push(2, 3)
+	q.push(0, 1)
+	q.push(1, 2)
+	q.push(0, 1) // dup: no-op
 	if q.len() != 3 {
 		t.Fatalf("len = %d, want 3", q.len())
 	}
 	if q.minKey() != 1 {
 		t.Fatalf("minKey = %d", q.minKey())
 	}
-	var got []string
+	var got []int32
 	for !q.empty() {
 		got = append(got, q.popMin())
 	}
-	want := []string{"a", "b", "c"}
+	want := []int32{0, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pop order %v, want %v", got, want)
 		}
+	}
+	q.push(0, 5) // popped numbers may be queued again, under a new key
+	if q.len() != 1 || q.minKey() != 5 || q.popMin() != 0 {
+		t.Fatal("re-pushing a popped number failed")
 	}
 }
 
 // TestPQRandom: heap property holds under random workloads.
 func TestPQRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	q := newPQ[int]()
-	keys := map[int]int{}
+	var q idHeap
+	keys := map[int32]int{}
 	for i := 0; i < 1000; i++ {
-		x := r.Intn(200)
+		x := int32(r.Intn(200))
 		k := r.Intn(1000)
 		if _, in := keys[x]; !in {
 			keys[x] = k
@@ -507,6 +511,9 @@ func TestPQRandom(t *testing.T) {
 					t.Fatalf("popped key %d but %d remains", k, kk)
 				}
 			}
+		}
+		if q.len() != len(keys) {
+			t.Fatalf("len = %d, want %d", q.len(), len(keys))
 		}
 	}
 	prev := -1
