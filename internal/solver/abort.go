@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -417,35 +416,64 @@ func (w *watchdog[X]) abortLocked(reason AbortReason, evals int) error {
 	for _, n := range w.flips {
 		rep.FlipHist.Observe(n)
 	}
-	type hot struct {
-		x X
-		n int
-	}
-	hottest := make([]hot, 0, len(w.updates))
-	for x, n := range w.updates {
-		hottest = append(hottest, hot{x, n})
-	}
-	sort.Slice(hottest, func(i, j int) bool {
-		if hottest[i].n != hottest[j].n {
-			return hottest[i].n > hottest[j].n
-		}
-		// Break ties by linear-order index where the solver supplied one,
-		// so tied update counts render in a stable, index-consistent order;
-		// local solvers fall back to the rendered unknown.
-		if w.idx != nil {
-			return w.idx[hottest[i].x] < w.idx[hottest[j].x]
-		}
-		return fmt.Sprint(hottest[i].x) < fmt.Sprint(hottest[j].x)
-	})
-	if len(hottest) > maxHotUnknowns {
-		hottest = hottest[:maxHotUnknowns]
-	}
-	for _, h := range hottest {
-		rep.Hottest = append(rep.Hottest, HotUnknown{
-			Unknown: fmt.Sprint(h.x),
-			Updates: h.n,
-			Flips:   w.flips[h.x],
-		})
-	}
+	rep.Hottest = w.hottest()
 	return &AbortError{Report: rep}
+}
+
+// hottest selects the maxHotUnknowns most-updated unknowns, descending, in
+// one pass over the update counts. Ties are broken by linear-order index
+// where the solver supplied one, and by the rendered unknown otherwise.
+// An unknown is rendered at most once, and only when it ties with a
+// selected unknown or is reported. A local solve can update 10⁵ unknowns,
+// and a deadline abort overshoots its bound by however long this takes, so
+// it must not sort them or render each one in a comparator.
+func (w *watchdog[X]) hottest() []HotUnknown {
+	type hot struct {
+		x     X
+		n     int
+		name  string
+		named bool
+	}
+	render := func(h *hot) string {
+		if !h.named {
+			h.name, h.named = fmt.Sprint(h.x), true
+		}
+		return h.name
+	}
+	// before reports whether a ranks ahead of b.
+	before := func(a, b *hot) bool {
+		if a.n != b.n {
+			return a.n > b.n
+		}
+		if w.idx != nil {
+			return w.idx[a.x] < w.idx[b.x]
+		}
+		return render(a) < render(b)
+	}
+	var top [maxHotUnknowns]hot
+	k := 0
+	for x, n := range w.updates {
+		c := hot{x: x, n: n}
+		if k == len(top) {
+			if !before(&c, &top[k-1]) {
+				continue
+			}
+			k--
+		}
+		j := k
+		for ; j > 0 && before(&c, &top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = c
+		k++
+	}
+	if k == 0 {
+		return nil
+	}
+	out := make([]HotUnknown, k)
+	for i := range out {
+		h := &top[i]
+		out[i] = HotUnknown{Unknown: render(h), Updates: h.n, Flips: w.flips[h.x]}
+	}
+	return out
 }

@@ -3,6 +3,9 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -338,5 +341,111 @@ func TestAbortErrorIsCrossSolver(t *testing.T) {
 	}
 	if errors.Is(osc, ErrEvalBudget) {
 		t.Error("oscillation abort must not match ErrEvalBudget")
+	}
+}
+
+// renderCountingKey is an unknown whose String method counts its calls.
+type renderCountingKey struct {
+	id    int
+	calls *int
+}
+
+func (k renderCountingKey) String() string {
+	*k.calls++
+	return fmt.Sprintf("k%05d", k.id)
+}
+
+// TestAbortHottestRendersOnce: a local solver's watchdog has no index, so
+// it breaks ties on rendered unknowns. Selecting the hottest must render
+// each updated unknown at most once, however many tie.
+func TestAbortHottestRendersOnce(t *testing.T) {
+	calls := 0
+	w := newWatchdog[renderCountingKey](Config{MaxEvals: 1}, nil)
+	const n = 5000
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < n; i++ {
+		x := renderCountingKey{id: i, calls: &calls}
+		// Few distinct counts, so nearly every unknown ties with another.
+		for u := r.Intn(3) + 1; u > 0; u-- {
+			w.observe(x, PhaseWiden)
+		}
+	}
+	rep, ok := ReportOf(w.check(1))
+	if !ok || len(rep.Hottest) != maxHotUnknowns {
+		t.Fatalf("want a budget abort with %d hottest, got %+v", maxHotUnknowns, rep)
+	}
+	if calls > n {
+		t.Fatalf("String called %d times for %d updated unknowns, want at most one each", calls, n)
+	}
+	for i := 1; i < len(rep.Hottest); i++ {
+		a, b := rep.Hottest[i-1], rep.Hottest[i]
+		if a.Updates < b.Updates || (a.Updates == b.Updates && a.Unknown > b.Unknown) {
+			t.Fatalf("hottest out of order: %+v before %+v", a, b)
+		}
+	}
+}
+
+// TestAbortHottestMatchesFullSort: the one-pass selection reports exactly
+// the first maxHotUnknowns rows of a full sort by (updates descending, then
+// index or rendering ascending), on random counts with many ties, with and
+// without a linear-order index.
+func TestAbortHottestMatchesFullSort(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(40)
+		names := r.Perm(1000)[:n]
+		idx := map[string]int{}
+		for i, p := range r.Perm(n) {
+			idx[fmt.Sprintf("u%d", names[i])] = p
+		}
+		for _, useIdx := range []bool{false, true} {
+			var wi map[string]int
+			if useIdx {
+				wi = idx
+			}
+			w := newWatchdog[string](Config{MaxEvals: 1}, wi)
+			counts := map[string]int{}
+			for x := range idx {
+				if r.Intn(4) == 0 {
+					continue // never updated
+				}
+				c := r.Intn(4) + 1
+				counts[x] = c
+				for u := 0; u < c; u++ {
+					w.observe(x, PhaseWiden)
+					if r.Intn(3) == 0 {
+						w.observe(x, PhaseNarrow)
+						counts[x]++
+					}
+				}
+			}
+			ref := make([]string, 0, len(counts))
+			for x := range counts {
+				ref = append(ref, x)
+			}
+			sort.Slice(ref, func(i, j int) bool {
+				a, b := ref[i], ref[j]
+				if counts[a] != counts[b] {
+					return counts[a] > counts[b]
+				}
+				if useIdx {
+					return idx[a] < idx[b]
+				}
+				return a < b
+			})
+			if len(ref) > maxHotUnknowns {
+				ref = ref[:maxHotUnknowns]
+			}
+			rep, _ := ReportOf(w.check(1))
+			if len(rep.Hottest) != len(ref) {
+				t.Fatalf("trial %d (index %v): %d hottest, want %d", trial, useIdx, len(rep.Hottest), len(ref))
+			}
+			for i, h := range rep.Hottest {
+				if h.Unknown != ref[i] || h.Updates != counts[ref[i]] || h.Flips != w.flips[ref[i]] {
+					t.Fatalf("trial %d (index %v): hottest[%d] = %+v, want %s with %d updates",
+						trial, useIdx, i, h, ref[i], counts[ref[i]])
+				}
+			}
+		}
 	}
 }
