@@ -158,7 +158,8 @@ func TestResumeChain(t *testing.T) {
 }
 
 // TestResumeRejectsMismatch: a checkpoint must not resume on a different
-// solver, a different system shape, or different element types.
+// solver, a different system shape, or different element types, nor queue
+// an unknown the system does not define.
 func TestResumeRejectsMismatch(t *testing.T) {
 	l := lattice.Ints
 	op := Op[string](Warrow[iv](l))
@@ -180,6 +181,12 @@ func TestResumeRejectsMismatch(t *testing.T) {
 
 	if _, _, err := SW(loopSystem(), l, op, ivInit, Config{Resume: "not a checkpoint"}); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("foreign resume value accepted: %v", err)
+	}
+
+	ghost := *cp
+	ghost.Queue = append(append([]string(nil), cp.Queue...), "ghost")
+	if _, _, err := SW(loopSystem(), l, op, ivInit, Config{Resume: &ghost}); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("queued unknown outside the system accepted: %v", err)
 	}
 }
 
