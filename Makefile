@@ -8,7 +8,7 @@ tier1:
 	GOARCH=386 go build ./...
 	test -z "$$(gofmt -l .)"
 
-# Tier-2: vet + race-checked tests + the chaos smoke + the dense-core bench
+# Tier-2: vet + race-checked tests + the chaos smoke + the value-store bench
 # smoke + the incremental-engine bench smoke + the widening-point family
 # smoke + a bounded fuzz pass — the concurrency gate for the parallel solver
 # (PSW), the differential harness, and the fault-isolation layer. The
@@ -78,9 +78,6 @@ bench-psw:
 bench-mega:
 	go run ./cmd/bench -cpw -mega -json BENCH_cpw.json
 
-bench-dense:
-	go run ./cmd/bench -dense -json BENCH_dense.json
-
 bench-unboxed:
 	go run ./cmd/bench -unboxed -json BENCH_unboxed.json
 
@@ -105,8 +102,8 @@ slr-smoke:
 incr-smoke:
 	go run ./cmd/bench -incr -smoke
 
-# Bench smoke: the reduced map-vs-dense and dense-vs-unboxed matrices
-# (bit-identity gate + timing sanity, minutes not tens of minutes) plus the
+# Bench smoke: the reduced boxed-vs-words value-store matrix (bit-identity
+# gate + timing sanity, minutes not tens of minutes) plus the
 # -benchmem micro-benchmarks of the solver hot loops — including the
 # zero-alloc unboxed rows — of cold solves, where every operation compiles
 # a fresh system (the build layer), and of incremental re-solves: a leaf
@@ -116,10 +113,9 @@ incr-smoke:
 # continuously exercised without regenerating the committed BENCH_*.json
 # artifacts.
 bench-smoke:
-	go run ./cmd/bench -dense -smoke
 	go run ./cmd/bench -unboxed -smoke
 	go test ./internal/solver -run '^$$' -bench 'BenchmarkRR|BenchmarkSW|BenchmarkSLRThunk|BenchmarkColdSolve' -benchmem -benchtime 50x
 	go test ./internal/incr -run '^$$' -bench 'BenchmarkResolveLeaf|BenchmarkResolveMutate' -benchmem -benchtime 50x
 	go test -run '^$$' -bench 'BenchmarkFig7/(bsort|select|ud)/warrow$$|BenchmarkTable1/470.lbm/' -benchmem -benchtime 20x .
 
-.PHONY: tier1 tier2 chaos-smoke serve-smoke cpw-smoke fuzz race-solver bench-psw bench-mega bench-dense bench-unboxed bench-smoke bench-incr incr-smoke bench-slr slr-smoke
+.PHONY: tier1 tier2 chaos-smoke serve-smoke cpw-smoke fuzz race-solver bench-psw bench-mega bench-unboxed bench-smoke bench-incr incr-smoke bench-slr slr-smoke

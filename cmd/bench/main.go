@@ -7,8 +7,7 @@
 //	bench -psw        SW vs PSW speedup on the synthetic wide system
 //	bench -cpw        PSW vs CPW on the single giant-SCC ring (-mega scales
 //	                  it past 10⁵ unknowns; the committed BENCH_cpw.json)
-//	bench -dense      map core vs dense compiled core on eqgen systems
-//	bench -unboxed    dense-boxed core vs unboxed word core on eqgen systems
+//	bench -unboxed    boxed vs word value store on eqgen systems
 //	bench -incr       incremental re-solve vs from-scratch on edit workloads
 //	bench -slr        widening-point family SLR2/SLR3/SLR4: precision on the
 //	                  WCET suite, evaluation totals on the eqgen macro matrix
@@ -26,8 +25,8 @@
 // serial hardware cannot measure parallel speedup, and quietly writing
 // rows that look like measurements would poison the perf trajectory.
 // -allow-serial overrides the refusal for correctness smoke runs; the
-// resulting JSON carries a prominent note. -smoke shrinks the -dense
-// matrix for CI (see make bench-smoke).
+// resulting JSON carries a prominent note. -smoke shrinks the -unboxed,
+// -cpw, -incr and -slr matrices for CI (see make bench-smoke).
 package main
 
 import (
@@ -67,8 +66,7 @@ func main() {
 	psw := flag.Bool("psw", false, "measure SW vs PSW at several worker counts")
 	cpw := flag.Bool("cpw", false, "measure PSW vs CPW on the single giant-SCC ring at several worker counts")
 	mega := flag.Bool("mega", false, "with -cpw: mega-scale ring (>=1e5 unknowns) instead of the default")
-	dense := flag.Bool("dense", false, "measure the map core vs the dense compiled core on eqgen systems")
-	unboxed := flag.Bool("unboxed", false, "measure the dense-boxed core vs the unboxed word core on eqgen systems")
+	unboxed := flag.Bool("unboxed", false, "measure the boxed vs the word value store on eqgen systems")
 	faults := flag.Bool("faults", false, "measure the fault-isolation layer: checkpoint and retry overhead")
 	incrf := flag.Bool("incr", false, "measure incremental re-solves against from-scratch solves on edit workloads")
 	slr := flag.Bool("slr", false, "measure the widening-point family SLR2/SLR3/SLR4: precision (interval widths) on the WCET suite, evals on the eqgen macro matrix")
@@ -77,17 +75,17 @@ func main() {
 	workers := flag.Int("workers", 0, "harness worker-pool size (0 = GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "write machine-readable perf rows to this file")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound per individual solve (0 = unbounded)")
-	smoke := flag.Bool("smoke", false, "reduced -dense matrix for CI smoke runs")
+	smoke := flag.Bool("smoke", false, "reduced -unboxed, -cpw, -incr and -slr matrices for CI smoke runs")
 	allowSerial := flag.Bool("allow-serial", false, "run worker-scaling suites even on GOMAXPROCS=1 (rows are correctness checks, not speedups)")
 	flag.Parse()
 	experiments.SolveTimeout = *timeout
 
-	if !*fig7 && !*table1 && !*traces && !*ablations && !*psw && !*cpw && !*dense && !*unboxed && !*faults && !*incrf && !*slr && !*all {
+	if !*fig7 && !*table1 && !*traces && !*ablations && !*psw && !*cpw && !*unboxed && !*faults && !*incrf && !*slr && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *all {
-		*fig7, *table1, *traces, *ablations, *psw, *cpw, *dense, *unboxed, *faults, *incrf, *slr = true, true, true, true, true, true, true, true, true, true, true
+		*fig7, *table1, *traces, *ablations, *psw, *cpw, *unboxed, *faults, *incrf, *slr = true, true, true, true, true, true, true, true, true, true
 	}
 	var note string
 	var geomean float64
@@ -180,28 +178,6 @@ func main() {
 			100*genFrac, experiments.FormatPerfRows([]experiments.PerfRow{genRow}))
 		perf = append(perf, genRow)
 	}
-	if *dense {
-		rows, g, notes, err := experiments.DenseVsMap(experiments.DenseCases(*smoke), 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dense:", err)
-			os.Exit(1)
-		}
-		geomean = g
-		fmt.Println("Map core vs dense compiled core on eqgen macro-benchmarks:")
-		fmt.Println(experiments.FormatDenseRows(rows, g))
-		for _, n := range notes {
-			fmt.Fprintln(os.Stderr, "dense: NOTE:", n)
-		}
-		if len(notes) > 0 {
-			joined := strings.Join(notes, "; ")
-			if note != "" {
-				note += "; " + joined
-			} else {
-				note = joined
-			}
-		}
-		perf = append(perf, rows...)
-	}
 	if *unboxed {
 		rows, g, bd, notes, err := experiments.UnboxedVsDense(experiments.DenseCases(*smoke), 3)
 		if err != nil {
@@ -209,7 +185,7 @@ func main() {
 			os.Exit(1)
 		}
 		geomean, breakdown = g, bd
-		fmt.Println("Dense-boxed core vs unboxed word core on eqgen macro-benchmarks:")
+		fmt.Println("Boxed vs word value store on eqgen macro-benchmarks:")
 		fmt.Println(experiments.FormatUnboxedRows(rows, g, bd))
 		for _, n := range notes {
 			fmt.Fprintln(os.Stderr, "unboxed: NOTE:", n)

@@ -190,15 +190,13 @@ func TestChaosPSWPoolHygiene(t *testing.T) {
 	}
 }
 
-// TestChaosDenseCore holds the dense compiled core to the chaos property —
+// TestChaosDenseCore holds the boxed value store to the chaos property —
 // faults heal under retry or abort cleanly with a checkpoint that resumes
-// on the pristine system — and then pins cross-core determinism under
-// injection: the injector draws per (seed, unknown, per-unknown eval
-// count), so the bit-identical schedules of the two cores must fire the
-// identical fault sequence and land on the identical outcome.
+// on the pristine system. The opaque Op(Warrow) has no word form, so every
+// store selection runs boxed here; TestChaosUnboxedCore pins boxed against
+// words under the identical fault schedule.
 func TestChaosDenseCore(t *testing.T) {
 	l := lattice.Ints
-	op := solver.Op[int](solver.Warrow[lattice.Interval](l))
 	for _, seed := range []uint64{1, 2, 3} {
 		sys := genInterval(seed, 24)
 		ccfg := chaos.Config{Seed: seed * 77, Transient: 0.1, Persistent: 0.01, MaxFaults: 30}
@@ -218,43 +216,18 @@ func TestChaosDenseCore(t *testing.T) {
 		if faults == 0 {
 			t.Fatalf("seed %d: no faults injected; the dense-core chaos check is vacuous", seed)
 		}
-
-		run := func(core solver.Core) (faults int, st solver.Stats, err error, sigma map[int]lattice.Interval) {
-			chaotic, inj := chaos.Wrap(sys, ccfg)
-			c := scfg
-			c.Core = core
-			sigma, st, err = solver.SW(chaotic, l, op, ivInit(), c)
-			return inj.Faults(), st, err, sigma
-		}
-		mf, mst, merr, msig := run(solver.CoreMap)
-		df, dst, derr, dsig := run(solver.CoreDense)
-		if mf != df {
-			t.Fatalf("seed %d: fault schedules diverge across cores: map %d, dense %d", seed, mf, df)
-		}
-		if (merr == nil) != (derr == nil) {
-			t.Fatalf("seed %d: chaotic termination differs: map err=%v, dense err=%v", seed, merr, derr)
-		}
-		if mst.Evals != dst.Evals || mst.Updates != dst.Updates {
-			t.Fatalf("seed %d: chaotic schedules diverge: map %d/%d, dense %d/%d",
-				seed, mst.Evals, mst.Updates, dst.Evals, dst.Updates)
-		}
-		if merr == nil {
-			for _, x := range sys.Order() {
-				if !l.Eq(msig[x], dsig[x]) {
-					t.Fatalf("seed %d: chaotic value of %d diverges across cores", seed, x)
-				}
-			}
-		}
 	}
 }
 
-// TestChaosUnboxedCore is TestChaosDenseCore for the unboxed value store:
-// chaos.Check runs the full solver matrix with Core=CoreUnboxed (the
+// TestChaosUnboxedCore is TestChaosDenseCore for the word store:
+// chaos.Check runs the full solver matrix with Core=CoreAuto (the
 // structured ⊟ plus the interval lattice's raw encoding route these solves
-// through the word-store core, with the injector living in the boxed
-// right-hand sides behind the boundary adapter), and the cross-core
-// determinism pin compares map against unboxed under the identical fault
-// schedule.
+// through the word store, with the injector living in the boxed right-hand
+// sides behind the boundary adapter), and the cross-store determinism pin
+// compares boxed against words under the identical fault schedule: the
+// injector draws per (seed, unknown, per-unknown eval count), so the
+// bit-identical schedules of the two stores must fire the identical fault
+// sequence and land on the identical outcome.
 func TestChaosUnboxedCore(t *testing.T) {
 	l := lattice.Ints
 	op := solver.WarrowOp[int, lattice.Interval](l)
@@ -262,7 +235,7 @@ func TestChaosUnboxedCore(t *testing.T) {
 		sys := genInterval(seed, 24)
 		ccfg := chaos.Config{Seed: seed * 77, Transient: 0.1, Persistent: 0.01, MaxFaults: 30}
 		scfg := solver.Config{
-			Core:     solver.CoreUnboxed,
+			Core:     solver.CoreAuto,
 			MaxEvals: 300_000,
 			Retry:    solver.RetryPolicy{MaxAttempts: 45, Seed: seed},
 		}
@@ -285,22 +258,22 @@ func TestChaosUnboxedCore(t *testing.T) {
 			sigma, st, err = solver.SW(chaotic, l, op, ivInit(), c)
 			return inj.Faults(), st, err, sigma
 		}
-		mf, mst, merr, msig := run(solver.CoreMap)
-		uf, ust, uerr, usig := run(solver.CoreUnboxed)
-		if mf != uf {
-			t.Fatalf("seed %d: fault schedules diverge across cores: map %d, unboxed %d", seed, mf, uf)
+		df, dst, derr, dsig := run(solver.CoreDense)
+		uf, ust, uerr, usig := run(solver.CoreAuto)
+		if df != uf {
+			t.Fatalf("seed %d: fault schedules diverge across stores: boxed %d, words %d", seed, df, uf)
 		}
-		if (merr == nil) != (uerr == nil) {
-			t.Fatalf("seed %d: chaotic termination differs: map err=%v, unboxed err=%v", seed, merr, uerr)
+		if (derr == nil) != (uerr == nil) {
+			t.Fatalf("seed %d: chaotic termination differs: boxed err=%v, words err=%v", seed, derr, uerr)
 		}
-		if mst.Evals != ust.Evals || mst.Updates != ust.Updates {
-			t.Fatalf("seed %d: chaotic schedules diverge: map %d/%d, unboxed %d/%d",
-				seed, mst.Evals, mst.Updates, ust.Evals, ust.Updates)
+		if dst.Evals != ust.Evals || dst.Updates != ust.Updates {
+			t.Fatalf("seed %d: chaotic schedules diverge: boxed %d/%d, words %d/%d",
+				seed, dst.Evals, dst.Updates, ust.Evals, ust.Updates)
 		}
-		if merr == nil {
+		if derr == nil {
 			for _, x := range sys.Order() {
-				if !l.Eq(msig[x], usig[x]) {
-					t.Fatalf("seed %d: chaotic value of %d diverges across cores", seed, x)
+				if !l.Eq(dsig[x], usig[x]) {
+					t.Fatalf("seed %d: chaotic value of %d diverges across stores", seed, x)
 				}
 			}
 		}

@@ -1,14 +1,16 @@
-// Cross-core differential verdicts: the compiled execution cores — dense
-// with boxed values and unboxed with raw words (valuerep.go) — must be
-// bit-identical to the map core: same values, same Evals, Updates, Rounds
-// and MaxQueue, same termination status, for every global solver; and
-// checkpoints taken under any core must resume under any other with no
-// observable difference. These are the properties the compiled cores'
+// Cross-store differential verdicts: every compiled global solver loop runs
+// on two value stores — boxed values and raw words (valuerep.go) — and both
+// must reproduce the map-based transcription of Figs. 1–4 (reference.go)
+// exactly: same termination status, same Evals, Updates, Rounds and
+// MaxQueue, same values, on completed and on budget-aborted runs alike; and
+// checkpoints taken on either store must resume on the other with no
+// observable difference. These are the properties the compiled solvers'
 // correctness argument rests on (see DESIGN.md §10 and §11), so they get
 // their own harness entry points next to the solver-vs-solver matrix.
 package diffsolve
 
 import (
+	"errors"
 	"fmt"
 
 	"warrow/internal/certify"
@@ -19,187 +21,196 @@ import (
 	"warrow/internal/solver"
 )
 
+// stores are the two value-store selections of the compiled solvers:
+// CoreDense forces boxed values, CoreAuto stores raw words where the domain
+// allows.
+var stores = []solver.Core{solver.CoreDense, solver.CoreAuto}
+
 // coreRunner is one global solver, parameterized over the full Config so the
-// harness can force either execution core.
+// harness can force either value store, with its reference transcription.
 type coreRunner[X comparable, D any] struct {
 	name string
 	run  func(solver.Config) (map[X]D, solver.Stats, error)
+	ref  func(maxEvals int) *reference[X, D]
 }
 
 func coreRunners[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D) []coreRunner[X, D] {
-	// WarrowOp is the structured ⊟: bit-identical to Op(Warrow(l)) on the
-	// boxed cores and the form that unlocks the unboxed value store.
+	// WarrowOp is the structured ⊟: bit-identical to Op(Warrow(l)) on boxed
+	// values and the form that unlocks the word store.
 	op := solver.WarrowOp[X, D](l)
+	ref := func(maxEvals int) *reference[X, D] { return newReference(sys, l, op, init, maxEvals) }
 	return []coreRunner[X, D]{
-		{"rr", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.RR(sys, l, op, init, c) }},
-		{"w", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.W(sys, l, op, init, c) }},
-		{"srr", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.SRR(sys, l, op, init, c) }},
-		{"sw", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.SW(sys, l, op, init, c) }},
+		{"rr", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.RR(sys, l, op, init, c) },
+			func(m int) *reference[X, D] { return ref(m).rr() }},
+		{"w", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.W(sys, l, op, init, c) },
+			func(m int) *reference[X, D] { return ref(m).w() }},
+		{"srr", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.SRR(sys, l, op, init, c) },
+			func(m int) *reference[X, D] { return ref(m).srr() }},
+		{"sw", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.SW(sys, l, op, init, c) },
+			func(m int) *reference[X, D] { return ref(m).sw() }},
 	}
 }
 
-// CheckCores runs every global solver once per execution core — map, dense
-// with boxed values, and unboxed — and demands bit-identity: identical
-// termination status, identical Evals, Updates, Rounds and MaxQueue (on
-// aborts too — the cores run the same schedule, so the work record at the
-// abort point must agree exactly), and identical values on termination.
-// PSW — which always executes on the compiled structures — is then compared
-// against the map-core SW outcome for every worker count in opt.Workers and
-// both value stores, crossing the cores a second way.
+// sameValues reports the first unknown whose value differs between two
+// assignments.
+func sameValues[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], name string, got, want map[X]D, wantName string) error {
+	for _, x := range sys.Order() {
+		if !l.Eq(got[x], want[x]) {
+			return fmt.Errorf("%s: value of %v = %s, %s %s", name, x, l.Format(got[x]), wantName, l.Format(want[x]))
+		}
+	}
+	return nil
+}
+
+// sameSchedule compares the scheduling counters of two runs.
+func sameSchedule(a, b solver.Stats) bool {
+	return a.Evals == b.Evals && a.Updates == b.Updates && a.Rounds == b.Rounds && a.MaxQueue == b.MaxQueue
+}
+
+// abortKey renders a solve's outcome for comparison across stores: the
+// abort report without its wall-clock time and checkpoint, or the error
+// text when there is no report ("<nil>" for a completed run).
+func abortKey(err error) string {
+	rep, ok := solver.ReportOf(err)
+	if !ok {
+		return fmt.Sprint(err)
+	}
+	rep.Elapsed, rep.Checkpoint = 0, nil
+	return fmt.Sprintf("%+v", rep)
+}
+
+// CheckCores runs every global solver under a budget on both value stores
+// and demands that each run reproduce the reference transcription exactly:
+// termination status, Evals, Updates, Rounds and MaxQueue, and values — on
+// budget aborts too, where the partial assignment must agree. With
+// opt.MaxFlips set, the two stores then run again with the oscillation
+// watchdog armed and must agree with each other (the reference has no
+// watchdog). PSW — SW stratified over the same stores — is compared against
+// the reference SW for every worker count in opt.Workers and both stores.
 func CheckCores[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D, opt Options) error {
 	opt = opt.defaults()
-	base := solver.Config{MaxEvals: opt.MaxEvals, MaxFlips: opt.MaxFlips}
-
-	var swVals map[X]D
-	var swSt solver.Stats
-	var swErr error
-	compiledCores := []solver.Core{solver.CoreDense, solver.CoreUnboxed}
+	var sw *reference[X, D]
 	for _, r := range coreRunners(l, sys, init) {
-		mc := base
-		mc.Core = solver.CoreMap
-		mSigma, mSt, mErr := r.run(mc)
-		if mErr != nil && !acceptableAbort(mErr) {
-			return fmt.Errorf("%s map: unexpected error: %w", r.name, mErr)
+		ref := r.ref(opt.MaxEvals)
+		for _, core := range stores {
+			name := r.name + "/" + core.String()
+			sigma, st, err := r.run(solver.Config{MaxEvals: opt.MaxEvals, Core: core})
+			if err != nil && !errors.Is(err, solver.ErrEvalBudget) {
+				return fmt.Errorf("%s: unexpected error: %w", name, err)
+			}
+			if (err != nil) != ref.aborted {
+				return fmt.Errorf("%s: termination differs: err=%v, reference aborted=%v", name, err, ref.aborted)
+			}
+			if !sameSchedule(st, ref.st) {
+				return fmt.Errorf("%s: schedules diverge: %+v, reference %+v", name, st, ref.st)
+			}
+			if err := sameValues(l, sys, name, sigma, ref.sigma, "reference"); err != nil {
+				return err
+			}
 		}
-		for _, core := range compiledCores {
-			dc := base
-			dc.Core = core
-			dSigma, dSt, dErr := r.run(dc)
-			if dErr != nil && !acceptableAbort(dErr) {
-				return fmt.Errorf("%s %s: unexpected error: %w", r.name, core, dErr)
-			}
-			if (mErr == nil) != (dErr == nil) {
-				return fmt.Errorf("%s: termination differs: map err=%v, %s err=%v", r.name, mErr, core, dErr)
-			}
-			if mSt.Evals != dSt.Evals || mSt.Updates != dSt.Updates ||
-				mSt.Rounds != dSt.Rounds || mSt.MaxQueue != dSt.MaxQueue {
-				return fmt.Errorf("%s: schedules diverge: map %+v, %s %+v", r.name, mSt, core, dSt)
-			}
-			if mErr == nil {
-				for _, x := range sys.Order() {
-					if !l.Eq(mSigma[x], dSigma[x]) {
-						return fmt.Errorf("%s: value of %v: map %s, %s %s",
-							r.name, x, l.Format(mSigma[x]), core, l.Format(dSigma[x]))
-					}
+		if opt.MaxFlips > 0 {
+			cfg := solver.Config{MaxEvals: opt.MaxEvals, MaxFlips: opt.MaxFlips, Core: solver.CoreDense}
+			dSigma, dSt, dErr := r.run(cfg)
+			cfg.Core = solver.CoreAuto
+			aSigma, aSt, aErr := r.run(cfg)
+			for _, err := range []error{dErr, aErr} {
+				if err != nil && !acceptableAbort(err) {
+					return fmt.Errorf("%s flips=%d: unexpected error: %w", r.name, opt.MaxFlips, err)
 				}
+			}
+			if abortKey(dErr) != abortKey(aErr) {
+				return fmt.Errorf("%s flips=%d: outcomes differ: dense err=%v, auto err=%v", r.name, opt.MaxFlips, dErr, aErr)
+			}
+			if !sameSchedule(dSt, aSt) {
+				return fmt.Errorf("%s flips=%d: schedules diverge: dense %+v, auto %+v", r.name, opt.MaxFlips, dSt, aSt)
+			}
+			if err := sameValues(l, sys, r.name+" flips/auto", aSigma, dSigma, "dense"); err != nil {
+				return err
 			}
 		}
 		if r.name == "sw" {
-			swVals, swSt, swErr = mSigma, mSt, mErr
+			sw = ref
 		}
 	}
 
 	for _, w := range opt.Workers {
-		for _, core := range compiledCores {
-			cfg := base
-			cfg.Workers = w
-			cfg.Core = core
-			op := solver.WarrowOp[X, D](l)
-			sigma, st, err := solver.PSW(sys, l, op, init, cfg)
-			if err != nil && !acceptableAbort(err) {
-				return fmt.Errorf("psw/%s/w=%d: unexpected error: %w", core, w, err)
+		for _, core := range stores {
+			name := fmt.Sprintf("psw/%s/w=%d", core, w)
+			cfg := solver.Config{MaxEvals: opt.MaxEvals, Workers: w, Core: core}
+			sigma, st, err := solver.PSW(sys, l, solver.WarrowOp[X, D](l), init, cfg)
+			if err != nil && !errors.Is(err, solver.ErrEvalBudget) {
+				return fmt.Errorf("%s: unexpected error: %w", name, err)
 			}
-			if (err == nil) != (swErr == nil) {
-				return fmt.Errorf("psw/%s/w=%d: termination differs from map-core sw: psw err=%v, sw err=%v", core, w, err, swErr)
+			if (err != nil) != sw.aborted {
+				return fmt.Errorf("%s: termination differs from reference sw: err=%v, sw aborted=%v", name, err, sw.aborted)
 			}
-			if st.Evals != swSt.Evals {
-				return fmt.Errorf("psw/%s/w=%d: %d evals, map-core sw %d", core, w, st.Evals, swSt.Evals)
+			if st.Evals != sw.st.Evals {
+				return fmt.Errorf("%s: %d evals, reference sw %d", name, st.Evals, sw.st.Evals)
 			}
 			if err != nil {
 				continue
 			}
-			if st.Updates != swSt.Updates {
-				return fmt.Errorf("psw/%s/w=%d: %d updates, map-core sw %d", core, w, st.Updates, swSt.Updates)
+			if st.Updates != sw.st.Updates {
+				return fmt.Errorf("%s: %d updates, reference sw %d", name, st.Updates, sw.st.Updates)
 			}
-			for _, x := range sys.Order() {
-				if !l.Eq(sigma[x], swVals[x]) {
-					return fmt.Errorf("psw/%s/w=%d: value of %v = %s, map-core sw %s",
-						core, w, x, l.Format(sigma[x]), l.Format(swVals[x]))
-				}
+			if err := sameValues(l, sys, name, sigma, sw.sigma, "reference sw"); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// CheckCoreResume interrupts every global solver under one core, resumes the
-// checkpoint under another — all six cross-core directions over map, dense
-// and unboxed, at the usual abort points —
-// and demands the resumed run reproduce the uninterrupted map-core run's
-// Evals, Updates and assignment exactly. Checkpoints store the assignment
-// and queue in X-space precisely so they cross cores; this is the verdict
-// that keeps that claim honest. codec, when non-nil, additionally pushes
-// every checkpoint through the versioned wire format before resuming.
+// CheckCoreResume interrupts every global solver on one value store,
+// resumes the checkpoint on the other — both directions, at the usual abort
+// points — and demands the resumed run reproduce the reference's
+// uninterrupted Evals, Updates and assignment exactly. Checkpoints store
+// the assignment and queue in X-space precisely so they cross stores; this
+// is the verdict that keeps that claim honest. codec, when non-nil,
+// additionally pushes every checkpoint through the versioned wire format
+// before resuming.
 func CheckCoreResume[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D, opt Options, codec *solver.Codec[X, D]) error {
 	opt = opt.defaults()
-	base := solver.Config{MaxEvals: opt.MaxEvals}
-
-	directions := []struct {
-		name              string
-		interrupt, resume solver.Core
-	}{
-		{"map→dense", solver.CoreMap, solver.CoreDense},
-		{"dense→map", solver.CoreDense, solver.CoreMap},
-		{"map→unboxed", solver.CoreMap, solver.CoreUnboxed},
-		{"unboxed→map", solver.CoreUnboxed, solver.CoreMap},
-		{"dense→unboxed", solver.CoreDense, solver.CoreUnboxed},
-		{"unboxed→dense", solver.CoreUnboxed, solver.CoreDense},
-	}
 	for _, r := range coreRunners(l, sys, init) {
-		mc := base
-		mc.Core = solver.CoreMap
-		ref, refSt, refErr := r.run(mc)
-		if refErr != nil {
-			if !acceptableAbort(refErr) {
-				return fmt.Errorf("%s: unexpected error: %w", r.name, refErr)
-			}
-			continue // diverged workload: nothing to resume against
+		ref := r.ref(opt.MaxEvals)
+		if ref.aborted || ref.st.Evals < 2 {
+			continue // diverged or trivial workload: nothing to resume against
 		}
-		if refSt.Evals < 2 {
-			continue
-		}
-		for _, dir := range directions {
-			for _, budget := range abortPoints(refSt.Evals) {
-				c := base
-				c.Core = dir.interrupt
-				c.MaxEvals = budget
-				_, _, err := r.run(c)
+		for k, from := range stores {
+			to := stores[1-k]
+			name := fmt.Sprintf("%s %s→%s", r.name, from, to)
+			for _, budget := range abortPoints(ref.st.Evals) {
+				_, _, err := r.run(solver.Config{MaxEvals: budget, Core: from})
 				if err == nil {
-					return fmt.Errorf("%s %s: budget %d of %d did not abort", r.name, dir.name, budget, refSt.Evals)
+					return fmt.Errorf("%s: budget %d of %d did not abort", name, budget, ref.st.Evals)
 				}
 				cp, ok := solver.CheckpointOf[X, D](err)
 				if !ok {
-					return fmt.Errorf("%s %s: abort at budget %d carries no checkpoint: %w", r.name, dir.name, budget, err)
+					return fmt.Errorf("%s: abort at budget %d carries no checkpoint: %w", name, budget, err)
 				}
 				if codec != nil {
 					data, merr := solver.MarshalCheckpoint(cp, *codec)
 					if merr != nil {
-						return fmt.Errorf("%s %s: marshal at budget %d: %w", r.name, dir.name, budget, merr)
+						return fmt.Errorf("%s: marshal at budget %d: %w", name, budget, merr)
 					}
 					cp, merr = solver.UnmarshalCheckpoint[X, D](data, *codec)
 					if merr != nil {
-						return fmt.Errorf("%s %s: unmarshal at budget %d: %w", r.name, dir.name, budget, merr)
+						return fmt.Errorf("%s: unmarshal at budget %d: %w", name, budget, merr)
 					}
 				}
-				rc := base
-				rc.Core = dir.resume
-				rc.Resume = cp
-				got, gotSt, err := r.run(rc)
+				got, gotSt, err := r.run(solver.Config{MaxEvals: opt.MaxEvals, Core: to, Resume: cp})
 				if err != nil {
-					return fmt.Errorf("%s %s: resume from budget %d failed: %w", r.name, dir.name, budget, err)
+					return fmt.Errorf("%s: resume from budget %d failed: %w", name, budget, err)
 				}
 				if rep := certify.System(l, sys, got, init); rep.Err() != nil {
-					return fmt.Errorf("%s %s: resumed result from budget %d does not certify: %w", r.name, dir.name, budget, rep.Err())
+					return fmt.Errorf("%s: resumed result from budget %d does not certify: %w", name, budget, rep.Err())
 				}
-				if gotSt.Evals != refSt.Evals || gotSt.Updates != refSt.Updates {
-					return fmt.Errorf("%s %s: resumed from budget %d with evals/updates %d/%d, uninterrupted %d/%d",
-						r.name, dir.name, budget, gotSt.Evals, gotSt.Updates, refSt.Evals, refSt.Updates)
+				if gotSt.Evals != ref.st.Evals || gotSt.Updates != ref.st.Updates {
+					return fmt.Errorf("%s: resumed from budget %d with evals/updates %d/%d, uninterrupted %d/%d",
+						name, budget, gotSt.Evals, gotSt.Updates, ref.st.Evals, ref.st.Updates)
 				}
-				for _, x := range sys.Order() {
-					if !l.Eq(got[x], ref[x]) {
-						return fmt.Errorf("%s %s: resumed from budget %d: value of %v = %s, uninterrupted %s",
-							r.name, dir.name, budget, x, l.Format(got[x]), l.Format(ref[x]))
-					}
+				if err := sameValues(l, sys, fmt.Sprintf("%s from budget %d", name, budget), got, ref.sigma, "uninterrupted"); err != nil {
+					return err
 				}
 			}
 		}
@@ -207,7 +218,7 @@ func CheckCoreResume[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[
 	return nil
 }
 
-// CheckGeneratedCores runs the cross-core verdict on a generated system.
+// CheckGeneratedCores runs the cross-store verdict on a generated system.
 // Errors carry the reproduction recipe.
 func CheckGeneratedCores(cfg eqgen.Config, opt Options) error {
 	g := eqgen.New(cfg)
@@ -229,7 +240,7 @@ func CheckGeneratedCores(cfg eqgen.Config, opt Options) error {
 	return nil
 }
 
-// CheckGeneratedCoreResume runs the cross-core checkpoint/resume verdict on
+// CheckGeneratedCoreResume runs the cross-store checkpoint/resume verdict on
 // a generated system, wiring in the domain's wire-format codec. Errors carry
 // the reproduction recipe.
 func CheckGeneratedCoreResume(cfg eqgen.Config, opt Options) error {

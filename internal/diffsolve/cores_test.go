@@ -6,11 +6,8 @@ import (
 	"warrow/internal/eqgen"
 )
 
-// coreRecipes spans both sides of the dense-compilation threshold
-// (denseMinUnknowns = 16): systems from 10 to 39 unknowns, all three
-// domains, monotonic and non-monotonic, order-consistent and not. The cores
-// are forced explicitly, so the small systems exercise the dense core on
-// shapes CoreAuto would leave on the map core.
+// coreRecipes spans small generated systems: 10 to 39 unknowns, all three
+// domains, monotonic and non-monotonic, order-consistent and not.
 func coreRecipes(dom eqgen.Domain, seeds int) []eqgen.Config {
 	out := make([]eqgen.Config, 0, seeds)
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
@@ -28,19 +25,31 @@ func coreRecipes(dom eqgen.Domain, seeds int) []eqgen.Config {
 	return out
 }
 
-// TestDenseCoreMatchesMapCoreGenerated is the cross-core property test:
-// 72 seeded systems (24 per domain, monotonic and non-monotonic) solved by
-// RR, W, SRR and SW on both execution cores must agree on termination
-// status, values and every scheduling counter, and PSW at worker counts
-// 1, 2, 4 and 8 must match the map-core SW outcome. Run under -race by the
-// tier-2 gate.
+// suiteRecipes are one system per domain at the sizes of the unboxed
+// benchmark suite (cmd/bench -unboxed): its smoke recipes interval-1k and
+// flat-512 and its full matrix's powerset-1k, where the compiled loops meet
+// deep queues and long sweeps.
+var suiteRecipes = map[eqgen.Domain]eqgen.Config{
+	eqgen.Interval: {Seed: 11, Dom: eqgen.Interval, N: 1024, FanIn: 3, MaxSCC: 6},
+	eqgen.Flat:     {Seed: 13, Dom: eqgen.Flat, N: 512, FanIn: 3, MaxSCC: 6},
+	eqgen.Powerset: {Seed: 17, Dom: eqgen.Powerset, N: 1024, FanIn: 3, MaxSCC: 6},
+}
+
+// TestDenseCoreMatchesMapCoreGenerated is the cross-store property test:
+// 75 seeded systems (24 small ones per domain, monotonic and non-monotonic,
+// plus suiteRecipes) solved by RR, W, SRR and SW on both value stores must
+// agree with the map-based reference transcription of Figs. 1–4 on
+// termination status, values and every scheduling counter, the two stores
+// must agree with each other under the oscillation watchdog, and PSW at
+// worker counts 1, 2, 4 and 8 must match the reference SW outcome. Run
+// under -race by the tier-2 gate.
 func TestDenseCoreMatchesMapCoreGenerated(t *testing.T) {
-	opt := Options{MaxEvals: 30_000, Workers: []int{1, 2, 4, 8}}
+	opt := Options{MaxEvals: 30_000, MaxFlips: 8, Workers: []int{1, 2, 4, 8}}
 	for _, dom := range []eqgen.Domain{eqgen.Interval, eqgen.Flat, eqgen.Powerset} {
 		dom := dom
 		t.Run(dom.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, cfg := range coreRecipes(dom, 24) {
+			for _, cfg := range append(coreRecipes(dom, 24), suiteRecipes[dom]) {
 				if err := CheckGeneratedCores(cfg, opt); err != nil {
 					t.Error(err)
 				}
@@ -49,10 +58,10 @@ func TestDenseCoreMatchesMapCoreGenerated(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeCrossesCores interrupts each global solver under one
-// core and resumes under the other, in both directions, through the
+// TestCheckpointResumeCrossesCores interrupts each global solver on one
+// value store and resumes on the other, in both directions, through the
 // versioned wire format — the resumed run must be indistinguishable from
-// the uninterrupted one.
+// the reference's uninterrupted one.
 func TestCheckpointResumeCrossesCores(t *testing.T) {
 	opt := Options{MaxEvals: 30_000}
 	for _, dom := range []eqgen.Domain{eqgen.Interval, eqgen.Flat, eqgen.Powerset} {

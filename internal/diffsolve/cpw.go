@@ -4,7 +4,7 @@
 // is no value or Stats comparison against SW. The verdict is the claim
 // ladder instead — every completed run certifies as a post-solution
 // (Lemma 1 via certify.System), and every bounded run aborts cleanly with
-// a quiesce-and-drain checkpoint that resumes, on any execution core, to a
+// a quiesce-and-drain checkpoint that resumes, on either value store, to a
 // certified completion.
 package diffsolve
 
@@ -23,14 +23,14 @@ import (
 // sizes that force claim contention even on small strata.
 var cpwWorkerDefaults = []int{1, 2, 4, 8}
 
-// CheckCPW runs CPW across execution cores and worker counts on one system
+// CheckCPW runs CPW across value stores and worker counts on one system
 // and enforces the certified-only claim ladder:
 //
 //   - a completed run must certify as a post-solution of sys;
 //   - an aborted run must be a controlled watchdog abort carrying a
 //     resumable checkpoint (the quiesce-and-drain snapshot);
-//   - a checkpoint taken under one core must resume under every other core
-//     to a certified completion.
+//   - a checkpoint taken on one store must resume on the other to a
+//     certified completion.
 //
 // A nil error means every (core, worker) cell upheld the ladder.
 func CheckCPW[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D, opt Options) error {
@@ -40,9 +40,8 @@ func CheckCPW[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], 
 		workers = cpwWorkerDefaults
 	}
 	op := solver.WarrowOp[X, D](l)
-	cores := []solver.Core{solver.CoreMap, solver.CoreDense, solver.CoreUnboxed}
 
-	for _, core := range cores {
+	for _, core := range stores {
 		for _, w := range workers {
 			name := fmt.Sprintf("cpw/%s/w=%d", core, w)
 			c := solver.Config{MaxEvals: opt.MaxEvals, MaxFlips: opt.MaxFlips, Core: core, Workers: w}
@@ -62,32 +61,22 @@ func CheckCPW[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], 
 		}
 	}
 
-	// Cross-core quiesce-and-drain resume. Budgets are taken relative to a
+	// Cross-store quiesce-and-drain resume. Budgets are taken relative to a
 	// reference run rather than fixed, so the interrupt lands mid-solve; a
 	// different interleaving may still complete inside the tighter budget,
 	// in which case that cell degenerates to the certify gate above.
-	ref := solver.Config{MaxEvals: opt.MaxEvals, Workers: 2, Core: solver.CoreMap}
+	ref := solver.Config{MaxEvals: opt.MaxEvals, Workers: 2}
 	_, refSt, refErr := solver.CPW(sys, l, op, init, ref)
 	if refErr != nil || refSt.Evals < 2 {
 		// Divergent (or trivial) workload: the ladder above already covered
 		// its abort behavior per cell; there is no completion to resume to.
 		return nil
 	}
-	directions := []struct {
-		name              string
-		interrupt, resume solver.Core
-	}{
-		{"map→dense", solver.CoreMap, solver.CoreDense},
-		{"dense→map", solver.CoreDense, solver.CoreMap},
-		{"map→unboxed", solver.CoreMap, solver.CoreUnboxed},
-		{"unboxed→map", solver.CoreUnboxed, solver.CoreMap},
-		{"dense→unboxed", solver.CoreDense, solver.CoreUnboxed},
-		{"unboxed→dense", solver.CoreUnboxed, solver.CoreDense},
-	}
-	for _, dir := range directions {
+	for k, from := range stores {
+		to := stores[1-k]
 		for _, w := range workers {
-			name := fmt.Sprintf("cpw %s/w=%d", dir.name, w)
-			c := solver.Config{MaxEvals: refSt.Evals / 2, Workers: w, Core: dir.interrupt}
+			name := fmt.Sprintf("cpw %s→%s/w=%d", from, to, w)
+			c := solver.Config{MaxEvals: refSt.Evals / 2, Workers: w, Core: from}
 			sigma, _, err := solver.CPW(sys, l, op, init, c)
 			if err == nil {
 				// This interleaving finished inside half the reference work;
@@ -104,7 +93,7 @@ func CheckCPW[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], 
 			if !ok {
 				return fmt.Errorf("%s: abort carries no checkpoint: %w", name, err)
 			}
-			rc := solver.Config{MaxEvals: opt.MaxEvals, Workers: w, Core: dir.resume, Resume: cp}
+			rc := solver.Config{MaxEvals: opt.MaxEvals, Workers: w, Core: to, Resume: cp}
 			got, _, err := solver.CPW(sys, l, op, init, rc)
 			if err != nil {
 				return fmt.Errorf("%s: resume failed: %w", name, err)

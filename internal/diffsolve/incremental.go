@@ -76,16 +76,14 @@ type incrEngine[D any] struct {
 }
 
 // buildIncrMatrix builds the engine matrix over one shared system: RR, W,
-// SRR and SW on each forced core, PSW once per worker count (CoreAuto, its
-// only core). All engines share the system object, so journaled edits made
+// SRR and SW on each value store, PSW once per worker count (CoreAuto). All engines share the system object, so journaled edits made
 // by eqgen.Mutate reach every engine — and every engine exercises the same
 // memoized compiled shape, including in-place patching.
 func buildIncrMatrix[D any](l lattice.Lattice[D], sys *eqn.System[int, D], opt Options) ([]incrEngine[D], error) {
 	init := eqn.ConstBottom[int, D](l)
-	cores := []solver.Core{solver.CoreMap, solver.CoreDense, solver.CoreUnboxed}
 	var out []incrEngine[D]
 	for _, name := range []string{"rr", "w", "srr", "sw"} {
-		for _, core := range cores {
+		for _, core := range stores {
 			e, err := incr.New(l, sys, init, name)
 			if err != nil {
 				return nil, err
@@ -254,8 +252,8 @@ func CheckGeneratedIncremental(cfg eqgen.Config, editSeed uint64, opt Options) e
 // verdict: an incremental re-solve interrupted mid-cone must resume to the
 // exact result of an uninterrupted incremental run — which in turn matches a
 // from-scratch solve of the edited system. Checkpoints round-trip through
-// the wire codec, and every other resume switches execution core, so a
-// checkpoint taken on one core restarts the cone on another.
+// the wire codec, and every other resume switches value store, so a
+// checkpoint taken on one store restarts the cone on the other.
 func checkIncrementalResume[D any](l lattice.Lattice[D], g eqgen.System, sys *eqn.System[int, D], editSeed uint64, opt Options, codec solver.Codec[int, D]) error {
 	opt = opt.defaults()
 	init := eqn.ConstBottom[int, D](l)
@@ -339,7 +337,7 @@ func checkIncrementalResume[D any](l lattice.Lattice[D], g eqgen.System, sys *eq
 			rc := c.cfg
 			rc.Resume = cp
 			if rc.Workers == 0 && bi%2 == 0 {
-				// Cross cores on resume: the checkpoint speaks X-space.
+				// Cross stores on resume: the checkpoint speaks X-space.
 				rc.Core = solver.CoreDense
 			}
 			got, rerr := e.Resolve(rc)

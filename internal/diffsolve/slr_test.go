@@ -13,11 +13,12 @@ import (
 // TestSLRFamilyGeneratedSystems is the widening-point family's property
 // test: 60 seeded eqgen interval systems — monotonic and non-monotonic,
 // with and without order-inconsistent forward edges — solved by SLR2, SLR3
-// and SLR4 at all three cores (map, boxed-dense, unboxed). The gates:
+// and SLR4 on both value stores (boxed, and raw words under the structured
+// WarrowOp). The gates:
 //
 //   - every terminating run certifies via internal/certify (Lemma 1 — the
 //     universal guarantee of the family);
-//   - the three cores are bit-identical per solver: same values, same
+//   - the two stores are bit-identical per solver: same values, same
 //     Evals/Updates/Restarts;
 //   - a non-terminating run aborts with a classified watchdog report.
 //
@@ -30,15 +31,7 @@ import (
 func TestSLRFamilyGeneratedSystems(t *testing.T) {
 	l := lattice.Ints
 	init := eqn.ConstBottom[int, lattice.Interval](l)
-	op := solver.Op[int](solver.Warrow[lattice.Interval](l))
-	cores := []struct {
-		name string
-		core solver.Core
-	}{
-		{"map", solver.CoreMap},
-		{"dense", solver.CoreDense},
-		{"unboxed", solver.CoreUnboxed},
-	}
+	op := solver.WarrowOp[int](l)
 	family := map[string]func(*eqn.System[int, lattice.Interval], lattice.Lattice[lattice.Interval], solver.Operator[int, lattice.Interval], func(int) lattice.Interval, solver.Config) (map[int]lattice.Interval, solver.Stats, error){
 		"slr2": solver.SLR2[int, lattice.Interval],
 		"slr3": solver.SLR3[int, lattice.Interval],
@@ -51,15 +44,15 @@ func TestSLRFamilyGeneratedSystems(t *testing.T) {
 		sys := g.Interval
 		base, _, baseErr := solver.SW(sys, l, op, init, solver.Config{MaxEvals: 30_000})
 		for fname, run := range family {
-			ref, refSt, refErr := run(sys, l, op, init, solver.Config{MaxEvals: 30_000, Core: solver.CoreMap})
+			ref, refSt, refErr := run(sys, l, op, init, solver.Config{MaxEvals: 30_000, Core: solver.CoreDense})
 			if refErr != nil {
 				if !acceptableAbort(refErr) {
-					t.Fatalf("%s: %s/map: unclassified error: %v", recipe, fname, refErr)
+					t.Fatalf("%s: %s/dense: unclassified error: %v", recipe, fname, refErr)
 				}
 				aborted++
 			} else {
 				if rep := certify.System(l, sys, ref, init); !rep.OK() {
-					t.Fatalf("%s: %s/map: %v", recipe, fname, rep.Err())
+					t.Fatalf("%s: %s/dense: %v", recipe, fname, rep.Err())
 				}
 				if baseErr == nil && (fname == "slr3" || fname == "slr4") {
 					ok := true
@@ -76,28 +69,26 @@ func TestSLRFamilyGeneratedSystems(t *testing.T) {
 					}
 				}
 			}
-			for _, c := range cores[1:] {
-				got, gotSt, err := run(sys, l, op, init, solver.Config{MaxEvals: 30_000, Core: c.core})
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%s: %s/%s termination (err=%v) differs from map (err=%v)", recipe, fname, c.name, err, refErr)
+			got, gotSt, err := run(sys, l, op, init, solver.Config{MaxEvals: 30_000})
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s: %s/auto termination (err=%v) differs from dense (err=%v)", recipe, fname, err, refErr)
+			}
+			if err != nil {
+				continue
+			}
+			if rep := certify.System(l, sys, got, init); !rep.OK() {
+				t.Fatalf("%s: %s/auto: %v", recipe, fname, rep.Err())
+			}
+			for _, x := range sys.Order() {
+				if !l.Eq(got[x], ref[x]) {
+					t.Fatalf("%s: %s/auto: σ[%d]=%s differs from the boxed store's %s",
+						recipe, fname, x, got[x], ref[x])
 				}
-				if err != nil {
-					continue
-				}
-				if rep := certify.System(l, sys, got, init); !rep.OK() {
-					t.Fatalf("%s: %s/%s: %v", recipe, fname, c.name, rep.Err())
-				}
-				for _, x := range sys.Order() {
-					if !l.Eq(got[x], ref[x]) {
-						t.Fatalf("%s: %s/%s: σ[%d]=%s differs from map core's %s",
-							recipe, fname, c.name, x, got[x], ref[x])
-					}
-				}
-				if gotSt.Evals != refSt.Evals || gotSt.Updates != refSt.Updates || gotSt.Restarts != refSt.Restarts {
-					t.Fatalf("%s: %s/%s: stats (%d/%d/%d) differ from map core (%d/%d/%d)",
-						recipe, fname, c.name, gotSt.Evals, gotSt.Updates, gotSt.Restarts,
-						refSt.Evals, refSt.Updates, refSt.Restarts)
-				}
+			}
+			if gotSt.Evals != refSt.Evals || gotSt.Updates != refSt.Updates || gotSt.Restarts != refSt.Restarts {
+				t.Fatalf("%s: %s/auto: stats (%d/%d/%d) differ from the boxed store (%d/%d/%d)",
+					recipe, fname, gotSt.Evals, gotSt.Updates, gotSt.Restarts,
+					refSt.Evals, refSt.Updates, refSt.Restarts)
 			}
 		}
 	}

@@ -356,7 +356,7 @@ func TestConcurrentUnboxedSolves(t *testing.T) {
 	solve := func() (map[string]lattice.Interval, error) {
 		sigma, _, err := solver.SW(sys, l, solver.WarrowOp[string](l),
 			func(string) lattice.Interval { return lattice.EmptyInterval },
-			solver.Config{Core: solver.CoreUnboxed, MaxEvals: 1_000_000})
+			solver.Config{MaxEvals: 1_000_000})
 		return sigma, err
 	}
 	want, err := solve()

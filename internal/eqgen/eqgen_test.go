@@ -438,7 +438,7 @@ func TestConcurrentUnboxedSolves(t *testing.T) {
 func concurrentSolves[D any](sys *eqn.System[int, D], l lattice.Lattice[D]) error {
 	op := solver.WarrowOp[int, D](l)
 	init := eqn.ConstBottom[int, D](l)
-	cfg := solver.Config{Core: solver.CoreUnboxed, MaxEvals: 1_000_000}
+	cfg := solver.Config{MaxEvals: 1_000_000}
 	want, wantSt, err := solver.SW(sys, l, op, init, cfg)
 	if err != nil {
 		return err

@@ -386,9 +386,6 @@ type InflCSR[X comparable] struct {
 	Undef    []X
 }
 
-// Row returns row r.
-func (c *InflCSR[X]) Row(r int) []int32 { return c.Dat[c.Off[r]:c.Off[r+1]] }
-
 // InflCSR returns the system's influence relation in index space. It is
 // memoized until the next Define, or the next Redefine that changes a
 // dependence list.

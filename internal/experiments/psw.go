@@ -22,7 +22,7 @@ import (
 )
 
 // PerfRow is one machine-readable benchmark measurement. Core distinguishes
-// the map and dense execution cores in the map-vs-dense rows; the
+// the boxed and word value stores in the dense-vs-unboxed rows; the
 // allocation columns are per performed evaluation, measured with
 // runtime.MemStats around a dedicated run.
 type PerfRow struct {
@@ -42,7 +42,7 @@ type PerfRow struct {
 // recorded prominently because wall-clock rows are only comparable on like
 // hardware — a single-CPU container cannot show parallel speedup, however
 // good the decomposition; Note flags exactly that kind of caveat, and
-// GeomeanSpeedup summarizes map-vs-dense comparisons.
+// GeomeanSpeedup summarizes dense-vs-unboxed comparisons.
 type BenchFile struct {
 	NumCPU         int               `json:"num_cpu"`
 	GoMaxProcs     int               `json:"gomaxprocs"`

@@ -1,19 +1,20 @@
-// Dense-boxed vs unboxed-core macro benchmark.
+// Dense-boxed vs unboxed value-store macro benchmark.
 //
-// UnboxedVsDense drives the four global solvers over the same eqgen matrix
-// as DenseVsMap, once per compiled core — dense-boxed (Config.CoreDense,
-// which pins the boxed []D assignment) and unboxed (Config.CoreUnboxed,
-// which compiles interval/flat/powerset values into flat machine words and
-// runs the fused raw right-hand sides) — verifies three-way bit-identity
-// against the map core, and reports wall-clock plus allocations per
-// evaluation. The headline number is the geometric-mean unboxed-over-dense
-// wall-clock speedup, broken down per solver and per domain; cmd/bench
-// -unboxed persists the rows to BENCH_unboxed.json.
+// UnboxedVsDense drives the four global solvers over seeded eqgen systems,
+// once per value store — boxed (Config.CoreDense, which pins the []D
+// assignment) and words (Config.CoreAuto, which compiles interval, flat
+// and powerset values into flat machine words and runs the fused raw
+// right-hand sides) — verifies that the word-store run is bit-identical to
+// the boxed one, and reports wall-clock plus allocations per evaluation.
+// The headline number is the geometric-mean unboxed-over-dense wall-clock
+// speedup, broken down per solver and per domain; cmd/bench -unboxed
+// persists the rows to BENCH_unboxed.json.
 package experiments
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"warrow/internal/eqgen"
@@ -21,6 +22,38 @@ import (
 	"warrow/internal/lattice"
 	"warrow/internal/solver"
 )
+
+// DenseCase is one macro-benchmark system of the dense-vs-unboxed comparison.
+type DenseCase struct {
+	Name string
+	Gen  eqgen.Config
+}
+
+// DenseCases returns the benchmark matrix. The smoke matrix is a strict
+// subset sized for CI; the full matrix covers all three eqgen domains,
+// systems up to the generator's 4096-unknown cap, and a deliberately
+// non-monotone instance.
+func DenseCases(smoke bool) []DenseCase {
+	if smoke {
+		return []DenseCase{
+			{"interval-1k", eqgen.Config{Seed: 11, Dom: eqgen.Interval, N: 1024, FanIn: 3, MaxSCC: 6}},
+			{"flat-512", eqgen.Config{Seed: 13, Dom: eqgen.Flat, N: 512, FanIn: 3, MaxSCC: 6}},
+		}
+	}
+	return []DenseCase{
+		{"interval-1k", eqgen.Config{Seed: 11, Dom: eqgen.Interval, N: 1024, FanIn: 3, MaxSCC: 6}},
+		{"interval-4k", eqgen.Config{Seed: 12, Dom: eqgen.Interval, N: 4096, FanIn: 4, MaxSCC: 8}},
+		{"interval-nonmono-2k", eqgen.Config{Seed: 21, Dom: eqgen.Interval, N: 2048, FanIn: 3, MaxSCC: 6, NonMonoDensity: 0.25}},
+		{"flat-2k", eqgen.Config{Seed: 13, Dom: eqgen.Flat, N: 2048, FanIn: 3, MaxSCC: 6}},
+		{"powerset-1k", eqgen.Config{Seed: 17, Dom: eqgen.Powerset, N: 1024, FanIn: 3, MaxSCC: 6}},
+	}
+}
+
+// denseBudget bounds every benchmark solve. Plain worklist iteration with
+// ⊟ carries no termination guarantee — that is the paper's motivating
+// observation — so a (system, solver) pair that exhausts the budget is
+// reported as diverged and skipped rather than hanging the suite.
+const denseBudget = 20_000_000
 
 // GeomeanBreakdown slices a geometric-mean speedup along the two benchmark
 // axes. Each entry is the geomean over the (system, solver) pairs matching
@@ -51,6 +84,12 @@ func geomeanOf(logs []speedupLog, key func(speedupLog) string) map[string]float6
 		out[k] = round2(math.Exp(sum / float64(counts[k])))
 	}
 	return out
+}
+
+// denseRun is one global solver of the matrix, parameterized over the Config.
+type denseRun[D any] struct {
+	name string
+	run  func(solver.Config) (map[int]D, solver.Stats, error)
 }
 
 // UnboxedVsDense runs the matrix with reps timed repetitions per (system,
@@ -99,8 +138,8 @@ func UnboxedVsDense(cases []DenseCase, reps int) ([]PerfRow, float64, *GeomeanBr
 
 func unboxedCaseRows[D any](name, domain string, l lattice.Lattice[D], sys *eqn.System[int, D], reps int) ([]PerfRow, []speedupLog, []string, error) {
 	init := eqn.ConstBottom[int, D](l)
-	// The structured operator is what unlocks the raw fast path; the boxed
-	// cores apply it through the identical Apply, so all three runs use the
+	// The structured operator is what unlocks the word store; the boxed
+	// store applies it through the identical Apply, so both runs use the
 	// same ⊟ semantics.
 	op := func() solver.Operator[int, D] { return solver.WarrowOp[int, D](l) }
 	runs := []denseRun[D]{
@@ -116,7 +155,7 @@ func unboxedCaseRows[D any](name, domain string, l lattice.Lattice[D], sys *eqn.
 		cfg := func(core solver.Core) solver.Config {
 			return solver.Config{Core: core, MaxEvals: denseBudget, Timeout: SolveTimeout}
 		}
-		mapSigma, mapSt, err := r.run(cfg(solver.CoreMap))
+		denseSigma, denseSt, err := r.run(cfg(solver.CoreDense))
 		if err != nil {
 			if rep, ok := solver.ReportOf(err); ok && rep.Reason == solver.AbortBudget {
 				notes = append(notes, fmt.Sprintf(
@@ -124,43 +163,41 @@ func unboxedCaseRows[D any](name, domain string, l lattice.Lattice[D], sys *eqn.
 					name, r.name, denseBudget))
 				continue
 			}
-			return rows, logs, notes, fmt.Errorf("%s map: %w", r.name, err)
+			return rows, logs, notes, fmt.Errorf("%s dense: %w", r.name, err)
 		}
-		// Three-way bit-identity gate: the unboxed rows claim nothing unless
-		// the word encodings reproduce the boxed computation exactly.
-		for _, core := range []solver.Core{solver.CoreDense, solver.CoreUnboxed} {
-			sigma, st, err := r.run(cfg(core))
-			if err != nil {
-				return rows, logs, notes, fmt.Errorf("%s %s: %w", r.name, core, err)
-			}
-			if mapSt.Evals != st.Evals || mapSt.Updates != st.Updates ||
-				mapSt.Rounds != st.Rounds || mapSt.MaxQueue != st.MaxQueue {
-				return rows, logs, notes, fmt.Errorf("%s: cores diverge: map %+v, %s %+v", r.name, mapSt, core, st)
-			}
-			for x, v := range mapSigma {
-				if !l.Eq(v, sigma[x]) {
-					return rows, logs, notes, fmt.Errorf("%s: %s core diverges at σ[%d]", r.name, core, x)
-				}
+		// Bit-identity gate: the unboxed rows claim nothing unless the word
+		// encodings reproduce the boxed computation exactly.
+		sigma, st, err := r.run(cfg(solver.CoreAuto))
+		if err != nil {
+			return rows, logs, notes, fmt.Errorf("%s unboxed: %w", r.name, err)
+		}
+		if denseSt.Evals != st.Evals || denseSt.Updates != st.Updates ||
+			denseSt.Rounds != st.Rounds || denseSt.MaxQueue != st.MaxQueue {
+			return rows, logs, notes, fmt.Errorf("%s: stores diverge: dense %+v, unboxed %+v", r.name, denseSt, st)
+		}
+		for x, v := range denseSigma {
+			if !l.Eq(v, sigma[x]) {
+				return rows, logs, notes, fmt.Errorf("%s: unboxed store diverges at σ[%d]", r.name, x)
 			}
 		}
 		denseWall, denseAllocs, denseBytes, err := denseMeasure(r.run, cfg(solver.CoreDense), reps)
 		if err != nil {
 			return rows, logs, notes, fmt.Errorf("%s dense: %w", r.name, err)
 		}
-		ubWall, ubAllocs, ubBytes, err := denseMeasure(r.run, cfg(solver.CoreUnboxed), reps)
+		ubWall, ubAllocs, ubBytes, err := denseMeasure(r.run, cfg(solver.CoreAuto), reps)
 		if err != nil {
 			return rows, logs, notes, fmt.Errorf("%s unboxed: %w", r.name, err)
 		}
-		evals := float64(mapSt.Evals)
+		evals := float64(denseSt.Evals)
 		rows = append(rows,
 			PerfRow{
 				Name: name, Solver: r.name, Core: "dense", Workers: 1,
-				WallNs: denseWall, Evals: mapSt.Evals, Updates: mapSt.Updates, Unknowns: mapSt.Unknowns,
+				WallNs: denseWall, Evals: denseSt.Evals, Updates: denseSt.Updates, Unknowns: denseSt.Unknowns,
 				AllocsPerEval: round2(float64(denseAllocs) / evals), BytesPerEval: round2(float64(denseBytes) / evals),
 			},
 			PerfRow{
 				Name: name, Solver: r.name, Core: "unboxed", Workers: 1,
-				WallNs: ubWall, Evals: mapSt.Evals, Updates: mapSt.Updates, Unknowns: mapSt.Unknowns,
+				WallNs: ubWall, Evals: denseSt.Evals, Updates: denseSt.Updates, Unknowns: denseSt.Unknowns,
 				AllocsPerEval: round2(float64(ubAllocs) / evals), BytesPerEval: round2(float64(ubBytes) / evals),
 			})
 		logs = append(logs, speedupLog{r.name, domain, math.Log(float64(denseWall) / float64(ubWall))})
@@ -191,3 +228,46 @@ func FormatUnboxedRows(rows []PerfRow, geomean float64, bd *GeomeanBreakdown) st
 	}
 	return out
 }
+
+// denseMeasure times reps runs and measures the allocation profile of reps
+// further runs via the runtime's monotonic allocation counters, reporting
+// the minimum of each — the standard way to suppress scheduler and GC
+// noise. Each rep starts from a freshly collected heap so GC pacing from
+// earlier runs cannot bleed into the measurement, and runs shorter than
+// 100ms get extra reps (minimums of short runs are noisy).
+func denseMeasure[D any](run func(solver.Config) (map[int]D, solver.Stats, error), cfg solver.Config, reps int) (wallNs int64, allocs, bytes uint64, err error) {
+	wallNs = math.MaxInt64
+	for i := 0; i < reps; i++ {
+		runtime.GC()
+		start := time.Now()
+		if _, _, err = run(cfg); err != nil {
+			return 0, 0, 0, err
+		}
+		d := time.Since(start).Nanoseconds()
+		if d < wallNs {
+			wallNs = d
+		}
+		if i == reps-1 && d < (100*time.Millisecond).Nanoseconds() && reps < 10 {
+			reps++
+		}
+	}
+	allocs, bytes = math.MaxUint64, math.MaxUint64
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, _, err = run(cfg); err != nil {
+			return 0, 0, 0, err
+		}
+		runtime.ReadMemStats(&m1)
+		if a := m1.Mallocs - m0.Mallocs; a < allocs {
+			allocs = a
+		}
+		if b := m1.TotalAlloc - m0.TotalAlloc; b < bytes {
+			bytes = b
+		}
+	}
+	return wallNs, allocs, bytes, nil
+}
+
+func round2(v float64) float64 { return math.Round(v*100) / 100 }

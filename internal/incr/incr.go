@@ -11,8 +11,8 @@
 // the chosen solver on the induced subsystem.
 // Unknowns outside the cone are pinned at their previous finals: the
 // subsystem's initial assignment answers out-of-cone reads with the stored
-// values, which every execution core (map, dense, unboxed) already treats
-// as the fallback for out-of-system unknowns. Inside the cone the solve
+// values, which both value stores (boxed, words) already treat as the
+// fallback for out-of-system unknowns. Inside the cone the solve
 // starts from the original initial assignment, so warrowing — the ∇/Δ phase
 // machinery of ⊟ — re-arms exactly there and nowhere else: an unknown
 // re-entered at its previous (narrowed) final would otherwise have nothing

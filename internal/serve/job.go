@@ -229,9 +229,9 @@ func chaosWrap[X comparable, D any](sys *eqn.System[X, D], spec *chaos.Config) *
 // newSolveJob builds the typed job and validates a client-provided resume
 // handle against the target system before any solving state exists. The
 // operator is the structured ⊟ (solver.WarrowOp), so solves whose domain
-// has a raw encoding run on the unboxed core; the rest, and any slice that
+// has a raw encoding run on the word store; the rest, and any slice that
 // meets a value the words cannot hold, fall back inside the solver exactly
-// as local solves do, so every core answers alike (DESIGN.md §11).
+// as local solves do, so both stores answer alike (DESIGN.md §11).
 func newSolveJob[X comparable, D any](req *proto.Request, sys *eqn.System[X, D], l lattice.Lattice[D], init func(X) D, codec solver.Codec[X, D]) (job, error) {
 	j := &solveJob[X, D]{
 		solverName: req.Solver,

@@ -20,28 +20,28 @@ import (
 // rawStepper builds the unboxed core for sys and fails the test if buildCore
 // falls back to boxed values — an alloc measurement of the wrong core would
 // pass vacuously.
-func rawStepper[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D]) (func(i int) (bool, int, *EvalError), int) {
+func rawStepper[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D]) (func(i int, accel bool) (Phase, bool, int, *EvalError), int) {
 	t.Helper()
 	vc, _ := buildCore(sys, l, WarrowOp[X, D](l), eqn.ConstBottom[X, D](l), Config{})
 	t.Cleanup(vc.release)
 	if _, ok := vc.(*rawCore[X, D]); !ok {
 		t.Fatalf("buildCore returned %T, want *rawCore (raw gate regressed)", vc)
 	}
-	return vc.stepper(), len(vc.shape().order)
+	return vc.stepper(false), len(vc.shape().order)
 }
 
 // passAllocs measures steady-state allocations per evaluation: a few warm-up
 // passes first (widening transients, pool growth), then AllocsPerRun over
 // full passes.
-func passAllocs(step func(i int) (bool, int, *EvalError), n int) float64 {
+func passAllocs(step func(i int, accel bool) (Phase, bool, int, *EvalError), n int) float64 {
 	for r := 0; r < 4; r++ {
 		for i := 0; i < n; i++ {
-			step(i)
+			step(i, true)
 		}
 	}
 	perPass := testing.AllocsPerRun(10, func() {
 		for i := 0; i < n; i++ {
-			step(i)
+			step(i, true)
 		}
 	})
 	return perPass / float64(n)

@@ -38,7 +38,8 @@ var ErrBadCheckpoint = errors.New("solver: checkpoint rejected")
 // every that-many evaluations through Config.CheckpointSink.
 type Checkpoint[X comparable, D any] struct {
 	// Solver names the entry point that captured the snapshot: rr, w, srr,
-	// sw, psw, rld, slr, slr+. Resume rejects a mismatched solver.
+	// sw, psw, cpw, slr2, slr3, slr4, rld, slr, slr+. Resume rejects a
+	// mismatched solver.
 	Solver string
 	// SysFP fingerprints the system shape (rendered order + dependences);
 	// resume rejects a checkpoint whose fingerprint differs from the target
@@ -58,7 +59,7 @@ type Checkpoint[X comparable, D any] struct {
 	Dirty bool
 	// Queue is the pending-work set at the scheduling point: W's stack from
 	// bottom to top, SW's queued unknowns (priorities are recomputed from
-	// the linear order).
+	// the linear order), and the dirty set of SLR2–4 in hierarchical order.
 	Queue []X
 	// Strata is PSW's per-stratum progress, indexed like the deterministic
 	// stratification of the system.
@@ -180,23 +181,12 @@ func (cp *Checkpoint[X, D]) overlayInit(init func(X) D) func(X) D {
 	}
 }
 
-// snapshotGlobal captures the shared part of a global-solver checkpoint:
-// name, fingerprint, counters and the full assignment in linear order.
-func snapshotGlobal[X comparable, D any](name string, sys *eqn.System[X, D], sigma map[X]D, st Stats) *Checkpoint[X, D] {
-	cp := &Checkpoint[X, D]{Solver: name, SysFP: Fingerprint(sys)}
-	cp.Evals, cp.Updates, cp.Rounds, cp.MaxQueue, cp.Retries =
-		st.Evals, st.Updates, st.Rounds, st.MaxQueue, st.Retries
-	for _, x := range sys.Order() {
-		cp.Sigma = append(cp.Sigma, CheckpointEntry[X, D]{X: x, V: sigma[x]})
-	}
-	return cp
-}
-
-// snapshotCompiled captures the shared part of a dense-core checkpoint
+// snapshot captures the shared part of a compiled-solver checkpoint —
+// name, fingerprint, counters and the full assignment in linear order —
 // without materializing a sigma map: the Sigma rows are read straight off
-// the flat assignment in linear order, producing byte-identical wire output
-// to snapshotGlobal on the same state — which is what lets checkpoints
-// captured by one core resume on the other.
+// the flat assignment. The word store's snapshot produces byte-identical
+// wire output on the same state, which is what lets checkpoints captured on
+// one store resume on the other.
 func (c *compiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
 	cp := &Checkpoint[X, D]{Solver: name, SysFP: Fingerprint(c.sys)}
 	cp.Evals, cp.Updates, cp.Rounds, cp.MaxQueue, cp.Retries =
@@ -208,9 +198,9 @@ func (c *compiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
 	return cp
 }
 
-// restore applies a checkpointed assignment to the dense core. Entries for
-// unknowns outside the system are ignored, exactly as the map core's get
-// would never read them on a fingerprint-matched checkpoint.
+// restore applies a checkpointed assignment to the boxed store. Entries for
+// unknowns outside the system are ignored; a fingerprint-matched checkpoint
+// carries none.
 func (c *compiled[X, D]) restore(cp *Checkpoint[X, D]) error {
 	for _, e := range cp.Sigma {
 		if j, ok := c.idx[e.X]; ok {

@@ -6,12 +6,6 @@ import (
 	"warrow/internal/eqn"
 )
 
-// denseMinUnknowns is the system size below which the global solvers skip
-// compilation (Config.Core = CoreAuto): for a handful of unknowns the
-// one-off cost of building the dense representation is comparable to the
-// whole solve, and the map core is already fast at that scale.
-const denseMinUnknowns = 16
-
 // compiled is the dense index-compiled representation of a finite system,
 // built once per solve: unknowns are renumbered to their positions 0..n-1
 // in the linear order, the assignment becomes a flat slice indexed by
@@ -21,10 +15,11 @@ const denseMinUnknowns = 16
 // survives only inside the get callback, which must translate the X-typed
 // reads of a right-hand side back to positions.
 //
-// The compiled core is an execution detail: results, Stats, checkpoints and
-// abort reports are bit-identical to the map core's (see DESIGN.md §10 for
-// the argument), and the wire format still speaks X-space, so checkpoints
-// cross freely between the cores.
+// The compiled representation is an execution detail: results, Stats,
+// checkpoints and abort reports are those of the paper's algorithms over
+// maps (see DESIGN.md §10; internal/diffsolve compares every loop with a
+// map-based transcription of Figs. 1–4), and the wire format still speaks
+// X-space, so checkpoints cross freely between the value stores.
 type compiled[X comparable, D any] struct {
 	*denseShape[X, D]
 	sys  *eqn.System[X, D]
@@ -54,10 +49,8 @@ type denseShape[X comparable, D any] struct {
 	rawRHS []eqn.RawRHS[X]
 	// valsPool and wordsPool recycle the per-solve value stores (the boxed
 	// []D assignment and the unboxed word store). Without them every solve
-	// of a memoized shape pays a fresh n-element allocation, which is what
-	// put the dense core's bytes/eval above the map core's on interval
-	// workloads; see the release methods and the regression benchmark in
-	// alloc_test.go.
+	// of a memoized shape pays a fresh n-element allocation; see the
+	// release methods and the regression benchmark in alloc_test.go.
 	valsPool  sync.Pool
 	wordsPool sync.Pool
 }
@@ -147,8 +140,7 @@ func (c *compiled[X, D]) sigmaMap() map[X]D {
 // denseEval is the reusable evaluation closure pair of one dense run (or,
 // under PSW, of one stratum): get translates a right-hand side's X-typed
 // reads to slice accesses, and thunk evaluates the unknown cur points at.
-// Both closures are allocated once and reused for every evaluation, where
-// the map core used to allocate a fresh pair per evaluation.
+// Both closures are allocated once and reused for every evaluation.
 type denseEval[X comparable, D any] struct {
 	cur   int
 	get   func(X) D

@@ -93,16 +93,43 @@ func TestCPWCertifiedOnTestSystems(t *testing.T) {
 	}
 }
 
-// TestCPWCertifiedAcrossCores: the same ring on all three core selections —
-// CoreMap and CoreAuto route to the atomic-word engine, CoreDense to the
-// atomic-pointer boxed engine — every run certified at every worker count.
+// wantStores fails the test unless the value stores built under core hold
+// raw words exactly when words is set — both the sequential solvers' store
+// (buildCore) and CPW's engine (buildCPWEngine). A cross-store test whose
+// word-store column silently ran on boxed values would pass vacuously.
+func wantStores[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, core Core, words bool) {
+	t.Helper()
+	vc, _ := buildCore(sys, l, op, init, Config{Core: core})
+	defer vc.release()
+	if _, ok := vc.(*rawCore[X, D]); ok != words {
+		t.Fatalf("core=%v: buildCore returned %T, want words=%v", core, vc, words)
+	}
+	en, _ := buildCPWEngine(sys, l, op, init, Config{Core: core})
+	if _, ok := en.(*cpwRaw[X, D]); ok != words {
+		t.Fatalf("core=%v: buildCPWEngine returned %T, want words=%v", core, en, words)
+	}
+}
+
+// TestOpaqueOperatorStoresBoxed: the opaque Op(Warrow) has no word form, so
+// CoreAuto stores boxed values for it — which is why the cross-store tests
+// pass the structured WarrowOp.
+func TestOpaqueOperatorStoresBoxed(t *testing.T) {
+	l := lattice.Ints
+	wantStores(t, ringSystem(8), l, Op[int](Warrow[iv](l)), func(int) iv { return lattice.EmptyInterval }, CoreAuto, false)
+}
+
+// TestCPWCertifiedAcrossCores: the same ring on both store selections —
+// CoreAuto routes the structured WarrowOp to the atomic-word engine,
+// CoreDense to the atomic-pointer boxed engine — every run certified at
+// every worker count.
 func TestCPWCertifiedAcrossCores(t *testing.T) {
 	l := lattice.Ints
 	sys := ringSystem(48)
 	init := func(int) iv { return lattice.EmptyInterval }
-	for _, core := range []Core{CoreMap, CoreDense, CoreUnboxed, CoreAuto} {
+	for _, core := range []Core{CoreDense, CoreAuto} {
+		wantStores(t, sys, l, WarrowOp[int, iv](l), init, core, core == CoreAuto)
 		assertCPWCertified(t, fmt.Sprintf("ring/core=%v", core), sys, l,
-			func() Operator[int, iv] { return Op[int](Warrow[iv](l)) },
+			func() Operator[int, iv] { return WarrowOp[int, iv](l) },
 			init, Config{MaxEvals: 2_000_000, Core: core})
 	}
 }
@@ -175,10 +202,12 @@ func TestCPWCheckpointCrossesCores(t *testing.T) {
 		name     string
 		from, to Core
 	}{
-		{"boxed->unboxed", CoreDense, CoreUnboxed},
-		{"unboxed->boxed", CoreUnboxed, CoreDense},
+		{"boxed->unboxed", CoreDense, CoreAuto},
+		{"unboxed->boxed", CoreAuto, CoreDense},
 	} {
-		_, _, err := CPW(sys, l, Op[int](Warrow[iv](l)), init,
+		op := WarrowOp[int, iv](l)
+		wantStores(t, sys, l, op, init, dir.from, dir.from == CoreAuto)
+		_, _, err := CPW(sys, l, op, init,
 			Config{MaxEvals: 60, Workers: 4, Core: dir.from})
 		if !errors.Is(err, ErrEvalBudget) {
 			t.Fatalf("%s: err = %v, want ErrEvalBudget", dir.name, err)
@@ -187,7 +216,7 @@ func TestCPWCheckpointCrossesCores(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no checkpoint", dir.name)
 		}
-		sigma, _, err := CPW(sys, l, Op[int](Warrow[iv](l)), init,
+		sigma, _, err := CPW(sys, l, op, init,
 			Config{MaxEvals: 2_000_000, Workers: 4, Core: dir.to, Resume: cp})
 		if err != nil {
 			t.Fatalf("%s: resume failed: %v", dir.name, err)

@@ -12,8 +12,8 @@ import (
 
 // checkCSR holds every row of a compiled shape to eqn.Infl mapped through
 // Index — the unknown itself first, then its readers in Infl's order, on
-// which the bit identity of the compiled cores with the map core rests
-// (DESIGN.md §10).
+// which the bit identity of the compiled loops with Figs. 1–4 over maps
+// rests (DESIGN.md §10).
 func checkCSR[X comparable, D any](sys *eqn.System[X, D], sh *denseShape[X, D]) error {
 	idx, infl := sys.Index(), sys.Infl()
 	order := sys.Order()

@@ -1,16 +1,3 @@
-// Dense index-compiled cores of the global solvers RR, W, SRR and SW.
-//
-// Each function mirrors its map-core twin in global.go statement for
-// statement — same scheduling points, same watchdog checks, same checkpoint
-// captures, same Stats accounting — with the hash-map state replaced by the
-// flat structures of compiled: the assignment is a slice indexed by order
-// position (or, on the unboxed core, a flat word store — see valuerep.go),
-// W's present-set is a bitset, SW's priority queue is the bucket queue
-// (priorities are the indices themselves), and the influence sets are CSR
-// rows. The per-evaluation work — guard, evaluate, observe, apply, store —
-// lives in the execCore step function, built once per run instead of once
-// per evaluation. Results, counters and checkpoints are bit-identical to
-// the map core; the differential tests in internal/diffsolve pin this.
 package solver
 
 import (
@@ -42,12 +29,15 @@ func rrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 			return vc.sigmaMap(), st, fmt.Errorf("%w: rr cursor %d out of range", ErrBadCheckpoint, start)
 		}
 	}
+	// capture snapshots the interrupted sweep: k is the order index of the
+	// next unknown to evaluate, dirty whether the sweep already changed
+	// something. Captured only at scheduling points, never mid-evaluation.
 	capture := func(k int, dirty bool) *Checkpoint[X, D] {
 		cp := vc.snapshot("rr", st)
 		cp.Cursor, cp.Dirty = k, dirty
 		return cp
 	}
-	step := vc.stepper()
+	step := vc.stepper(false)
 	for {
 		evaled := false
 		for k := start; k < n; k++ {
@@ -61,7 +51,7 @@ func rrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 			if ck.due(st.Evals) {
 				ck.emit(st.Evals, capture(k, dirty))
 			}
-			changed, attempts, ee := step(k)
+			_, changed, attempts, ee := step(k, true)
 			st.Retries += attempts - 1
 			if ee != nil {
 				err := attachCheckpoint(wd.failEval(ee, st.Evals), capture(k, dirty))
@@ -138,7 +128,7 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 		cp.Queue = sh.queueUnknowns(idxs)
 		return cp
 	}
-	step := vc.stepper()
+	step := vc.stepper(false)
 	for len(stack) > 0 {
 		if err := wd.check(st.Evals); err != nil {
 			return vc.sigmaMap(), st, attachCheckpoint(err, capture())
@@ -149,7 +139,7 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		present.clear(int(i))
-		changed, attempts, ee := step(int(i))
+		_, changed, attempts, ee := step(int(i), true)
 		st.Retries += attempts - 1
 		if ee != nil {
 			// The failed evaluation never happened: keep x scheduled so the
@@ -199,7 +189,7 @@ func srrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], 
 		cp.Cursor = i
 		return cp
 	}
-	step := vc.stepper()
+	step := vc.stepper(false)
 	var solve func(i int, resumed bool) error
 	solve = func(i int, resumed bool) error {
 		if i == 0 {
@@ -207,7 +197,10 @@ func srrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], 
 		}
 		first := resumed
 		for {
-			// See the map core for the resume re-entry protocol.
+			// On the first iteration of a resumed frame, the recursive call
+			// is the one that was in flight at the checkpoint: re-enter it
+			// resumed too, except at the innermost frame, which had already
+			// completed it and was parked at the evaluation.
 			if !(first && i == resumeLevel) {
 				if err := solve(i-1, first && i > resumeLevel); err != nil {
 					return err
@@ -220,7 +213,7 @@ func srrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], 
 			if ck.due(st.Evals) {
 				ck.emit(st.Evals, capture(i))
 			}
-			changed, attempts, ee := step(i - 1)
+			_, changed, attempts, ee := step(i-1, true)
 			st.Retries += attempts - 1
 			if ee != nil {
 				return attachCheckpoint(wd.failEval(ee, st.Evals), capture(i))
@@ -271,11 +264,11 @@ func swDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 	}
 	capture := func() *Checkpoint[X, D] {
 		cp := vc.snapshot("sw", st)
-		// indices() is ascending, matching the map core's sort by index.
+		// indices() is ascending: the queue is stored sorted by position.
 		cp.Queue = sh.queueUnknowns(q.indices())
 		return cp
 	}
-	step := vc.stepper()
+	step := vc.stepper(false)
 	for !q.empty() {
 		if err := wd.check(st.Evals); err != nil {
 			return vc.sigmaMap(), st, attachCheckpoint(err, capture())
@@ -284,7 +277,7 @@ func swDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 			ck.emit(st.Evals, capture())
 		}
 		i := q.popMin()
-		changed, attempts, ee := step(i)
+		_, changed, attempts, ee := step(i, true)
 		st.Retries += attempts - 1
 		if ee != nil {
 			// The failed evaluation never happened: keep x scheduled so the

@@ -45,7 +45,8 @@ func TestBitset(t *testing.T) {
 
 // TestBucketQueueMatchesHeap drives a bucket queue and the binary heap
 // through the same random push/pop schedule and checks every pop agrees —
-// the property that makes swDense bit-identical to the map core.
+// the property that lets SW's bucket queue stand in for Fig. 4's priority
+// queue.
 func TestBucketQueueMatchesHeap(t *testing.T) {
 	const n = 300
 	rng := rand.New(rand.NewSource(7))
@@ -95,69 +96,6 @@ func TestBucketQueueIndicesNonDestructive(t *testing.T) {
 	}
 }
 
-func TestUseDenseThreshold(t *testing.T) {
-	auto := Config{}
-	if auto.useDense(denseMinUnknowns - 1) {
-		t.Error("CoreAuto compiled a tiny system")
-	}
-	if !auto.useDense(denseMinUnknowns) {
-		t.Error("CoreAuto skipped a large system")
-	}
-	if (Config{Core: CoreMap}).useDense(1 << 20) {
-		t.Error("CoreMap compiled")
-	}
-	if !(Config{Core: CoreDense}).useDense(1) {
-		t.Error("CoreDense did not compile")
-	}
-}
-
-// TestDenseMatchesMapCore pins the bit-identity contract package-locally:
-// values and every scheduling-sensitive counter agree between the two cores
-// on seeded eqgen systems, non-monotone ones included. The wider sweep
-// (three domains, PSW worker matrix, checkpoint crossings) lives in
-// internal/diffsolve.
-func TestDenseMatchesMapCore(t *testing.T) {
-	l := lattice.Ints
-	for seed := uint64(1); seed <= 12; seed++ {
-		g := eqgen.New(eqgen.Config{Seed: seed, Dom: eqgen.Interval, N: 60, NonMonoDensity: 0.2})
-		sys := g.Interval
-		init := eqn.ConstBottom[int, lattice.Interval](l)
-		type entry struct {
-			name string
-			run  func(Config) (map[int]lattice.Interval, Stats, error)
-		}
-		op := Op[int](Warrow[lattice.Interval](l))
-		runs := []entry{
-			{"rr", func(c Config) (map[int]lattice.Interval, Stats, error) { return RR(sys, l, op, init, c) }},
-			{"w", func(c Config) (map[int]lattice.Interval, Stats, error) { return W(sys, l, op, init, c) }},
-			{"srr", func(c Config) (map[int]lattice.Interval, Stats, error) { return SRR(sys, l, op, init, c) }},
-			{"sw", func(c Config) (map[int]lattice.Interval, Stats, error) { return SW(sys, l, op, init, c) }},
-		}
-		for _, e := range runs {
-			mSigma, mSt, mErr := e.run(Config{Core: CoreMap, MaxEvals: 2_000_000})
-			dSigma, dSt, dErr := e.run(Config{Core: CoreDense, MaxEvals: 2_000_000})
-			if (mErr == nil) != (dErr == nil) {
-				t.Fatalf("seed %d %s: map err %v, dense err %v", seed, e.name, mErr, dErr)
-			}
-			if mErr != nil {
-				continue
-			}
-			if len(mSigma) != len(dSigma) {
-				t.Fatalf("seed %d %s: dom %d vs %d", seed, e.name, len(mSigma), len(dSigma))
-			}
-			for x, v := range mSigma {
-				if !l.Eq(v, dSigma[x]) {
-					t.Fatalf("seed %d %s: σ[%d] = %s (map) vs %s (dense)", seed, e.name, x, v, dSigma[x])
-				}
-			}
-			if mSt.Evals != dSt.Evals || mSt.Updates != dSt.Updates ||
-				mSt.Rounds != dSt.Rounds || mSt.MaxQueue != dSt.MaxQueue {
-				t.Fatalf("seed %d %s: stats map %+v vs dense %+v", seed, e.name, mSt, dSt)
-			}
-		}
-	}
-}
-
 // benchSystem is a mid-size eqgen interval system for the core benchmarks.
 func benchSystem() (*eqn.System[int, lattice.Interval], func(int) lattice.Interval) {
 	g := eqgen.New(eqgen.Config{Seed: 99, Dom: eqgen.Interval, N: 512, FanIn: 3})
@@ -179,22 +117,10 @@ func benchCore(b *testing.B, core Core, run func(Config) (map[int]lattice.Interv
 	b.ReportMetric(float64(evals), "evals/solve")
 }
 
-func BenchmarkRRMap(b *testing.B) {
-	sys, init := benchSystem()
-	l, op := lattice.Ints, Op[int](Warrow[lattice.Interval](lattice.Ints))
-	benchCore(b, CoreMap, func(c Config) (map[int]lattice.Interval, Stats, error) { return RR(sys, l, op, init, c) })
-}
-
 func BenchmarkRRDense(b *testing.B) {
 	sys, init := benchSystem()
 	l, op := lattice.Ints, Op[int](Warrow[lattice.Interval](lattice.Ints))
 	benchCore(b, CoreDense, func(c Config) (map[int]lattice.Interval, Stats, error) { return RR(sys, l, op, init, c) })
-}
-
-func BenchmarkSWMap(b *testing.B) {
-	sys, init := benchSystem()
-	l, op := lattice.Ints, Op[int](Warrow[lattice.Interval](lattice.Ints))
-	benchCore(b, CoreMap, func(c Config) (map[int]lattice.Interval, Stats, error) { return SW(sys, l, op, init, c) })
 }
 
 func BenchmarkSWDense(b *testing.B) {
@@ -204,20 +130,20 @@ func BenchmarkSWDense(b *testing.B) {
 }
 
 // The unboxed benchmarks use the structured WarrowOp: it is what unlocks
-// the raw word core, and its Apply is bit-identical to Op(Warrow), so the
+// the word store, and its Apply is bit-identical to Op(Warrow), so the
 // boxed baselines above measure the same computation. Run with -benchmem:
 // the dense rows pin the pooled-store fix (allocs/op must stay well below
 // one per evaluation) and the unboxed rows pin the zero-alloc hot loop.
 func BenchmarkRRUnboxed(b *testing.B) {
 	sys, init := benchSystem()
 	l, op := lattice.Ints, WarrowOp[int, lattice.Interval](lattice.Ints)
-	benchCore(b, CoreUnboxed, func(c Config) (map[int]lattice.Interval, Stats, error) { return RR(sys, l, op, init, c) })
+	benchCore(b, CoreAuto, func(c Config) (map[int]lattice.Interval, Stats, error) { return RR(sys, l, op, init, c) })
 }
 
 func BenchmarkSWUnboxed(b *testing.B) {
 	sys, init := benchSystem()
 	l, op := lattice.Ints, WarrowOp[int, lattice.Interval](lattice.Ints)
-	benchCore(b, CoreUnboxed, func(c Config) (map[int]lattice.Interval, Stats, error) { return SW(sys, l, op, init, c) })
+	benchCore(b, CoreAuto, func(c Config) (map[int]lattice.Interval, Stats, error) { return SW(sys, l, op, init, c) })
 }
 
 // BenchmarkSLRThunk exercises the local solver's hoisted eval/thunk pair;

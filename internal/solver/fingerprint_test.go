@@ -42,30 +42,28 @@ func countedRing() *eqn.System[countedKey, lattice.Interval] {
 }
 
 // TestFreshSolveSkipsFingerprint: no global entry point hashes its system
-// for a solve that neither resumes nor captures a checkpoint — on any core,
-// with the watchdog armed. A captured checkpoint and a resume still do.
+// for a solve that neither resumes nor captures a checkpoint — on either
+// value store, with the watchdog armed. A captured checkpoint and a resume still do.
 func TestFreshSolveSkipsFingerprint(t *testing.T) {
 	type solveFn = func(*eqn.System[countedKey, lattice.Interval], lattice.Lattice[lattice.Interval], Operator[countedKey, lattice.Interval], func(countedKey) lattice.Interval, Config) (map[countedKey]lattice.Interval, Stats, error)
 	l := lattice.Ints
 	op := WarrowOp[countedKey, lattice.Interval](l)
 	init := eqn.ConstBottom[countedKey, lattice.Interval](l)
-	allCores := []Core{CoreMap, CoreDense, CoreUnboxed}
 	for _, tc := range []struct {
 		name  string
 		solve solveFn
-		cores []Core
 	}{
-		{"rr", RR[countedKey, lattice.Interval], allCores},
-		{"w", W[countedKey, lattice.Interval], allCores},
-		{"srr", SRR[countedKey, lattice.Interval], allCores},
-		{"sw", SW[countedKey, lattice.Interval], allCores},
-		{"psw", PSW[countedKey, lattice.Interval], []Core{CoreUnboxed, CoreDense}},
-		{"cpw", CPW[countedKey, lattice.Interval], []Core{CoreUnboxed, CoreDense}},
-		{"slr2", SLR2[countedKey, lattice.Interval], allCores},
-		{"slr3", SLR3[countedKey, lattice.Interval], allCores},
-		{"slr4", SLR4[countedKey, lattice.Interval], allCores},
+		{"rr", RR[countedKey, lattice.Interval]},
+		{"w", W[countedKey, lattice.Interval]},
+		{"srr", SRR[countedKey, lattice.Interval]},
+		{"sw", SW[countedKey, lattice.Interval]},
+		{"psw", PSW[countedKey, lattice.Interval]},
+		{"cpw", CPW[countedKey, lattice.Interval]},
+		{"slr2", SLR2[countedKey, lattice.Interval]},
+		{"slr3", SLR3[countedKey, lattice.Interval]},
+		{"slr4", SLR4[countedKey, lattice.Interval]},
 	} {
-		for _, core := range tc.cores {
+		for _, core := range []Core{CoreAuto, CoreDense} {
 			renderedKeys.Store(0)
 			if _, _, err := tc.solve(countedRing(), l, op, init, Config{Core: core, Workers: 2, MaxEvals: 1_000_000}); err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, core, err)

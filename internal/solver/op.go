@@ -89,9 +89,8 @@ func Warrow[D any](l lattice.Lattice[D]) Combine[D] {
 
 // rawOperator is implemented by structured operators that can apply
 // themselves directly on raw-encoded values (lattice.Raw word slices).
-// The unboxed core requires it: an opaque Combine closure cannot be
-// translated to the raw layer, so solvers given one fall back to the
-// boxed dense core.
+// The word store requires it: an opaque Combine closure cannot be
+// translated to the raw layer, so solvers given one store boxed values.
 type rawOperator[D any] interface {
 	rawApply(r lattice.Raw[D], dst, old, new []uint64)
 }
@@ -110,7 +109,7 @@ const (
 
 // stdOp is the structured form of the stateless update operators: the same
 // six combinators Op(Replace(..)) … Op(Warrow(..)) produce, but with the
-// kind reified so the unboxed core can apply them on raw-encoded values.
+// kind reified so the word store can apply them on raw-encoded values.
 // The boxed Apply is bit-identical to the closure-based forms.
 type stdOp[X comparable, D any] struct {
 	kind stdOpKind
@@ -186,7 +185,7 @@ func NarrowOp[X comparable, D any](l lattice.Lattice[D]) Operator[X, D] {
 }
 
 // WarrowOp is the structured form of Op(Warrow(l)): the paper's ⊟ with the
-// branch reified, which is what lets the unboxed core run ⊟ solves with no
+// branch reified, which is what lets the word store run ⊟ solves with no
 // boxed values on the hot path. Prefer it over Op(Warrow(l)) wherever the
 // lattice might have a raw encoding.
 func WarrowOp[X comparable, D any](l lattice.Lattice[D]) Operator[X, D] {
@@ -365,10 +364,10 @@ type Stats struct {
 	// with the sequential solvers' (see shardQueue).
 	MaxQueue int `json:"max_queue"`
 	// WallNs is the wall-clock duration of the solve in nanoseconds
-	// (recorded by PSW; zero for the sequential solvers).
+	// (recorded by PSW and CPW; zero for the sequential solvers).
 	WallNs int64 `json:"wall_ns"`
-	// Workers is the size of the worker pool (PSW; zero for sequential
-	// solvers).
+	// Workers is the size of the worker pool (PSW and CPW; zero for
+	// sequential solvers).
 	Workers int `json:"workers"`
 	// SCCs is the number of strongly connected components of the static
 	// dependence graph, and Strata the number of scheduling units PSW
@@ -399,34 +398,23 @@ type Stats struct {
 // while the error now carries the full divergence diagnosis.
 var ErrEvalBudget = errors.New("solver: evaluation budget exceeded")
 
-// Core selects the execution core of the global solvers (RR, W, SRR, SW).
-// All cores implement the same algorithms with bit-identical results,
-// Stats and checkpoints; they differ only in representation — hash maps,
-// the dense index-compiled structures of compile.go with boxed D values,
-// or the unboxed core of valuerep.go, which additionally stores values as
-// raw machine words when the lattice has a raw encoding (lattice.AsRaw)
-// and the operator is structured (WarrowOp and friends). PSW always runs
-// its strata on the compiled structures and picks the unboxed value store
-// under the same conditions. The local solvers (RLD, SLR, SLR⁺) discover
-// their unknowns on the fly and have no compiled core.
+// Core selects the value store of the compiled global solvers (RR, W, SRR,
+// SW, PSW, CPW and SLR2–4). Every global solver runs one loop over the
+// compiled representation of compile.go; the store holds the assignment
+// either as boxed D values or as raw machine words (valuerep.go), with
+// bit-identical results, Stats, abort reports and checkpoints. The local
+// solvers (RLD, SLR, SLR⁺) discover their unknowns on the fly and ignore
+// it.
 type Core int8
 
 // Cores.
 const (
-	// CoreAuto compiles systems of at least denseMinUnknowns unknowns and
-	// keeps tiny systems on the map core, where compilation overhead would
-	// dominate. Compiled systems store values unboxed when the domain and
-	// operator support it, boxed otherwise.
+	// CoreAuto stores raw words when the lattice has a raw encoding
+	// (lattice.AsRaw), the operator is structured (WarrowOp and friends) and
+	// the initial assignment encodes; otherwise it stores boxed values.
 	CoreAuto Core = iota
-	// CoreMap forces the map core.
-	CoreMap
-	// CoreDense forces the dense core with boxed values.
+	// CoreDense forces boxed values.
 	CoreDense
-	// CoreUnboxed forces the compiled core and requests the unboxed value
-	// store regardless of system size; if the lattice has no raw encoding
-	// or the operator is opaque, the solve gracefully falls back to the
-	// boxed dense core.
-	CoreUnboxed
 )
 
 // String renders the core name.
@@ -434,12 +422,8 @@ func (c Core) String() string {
 	switch c {
 	case CoreAuto:
 		return "auto"
-	case CoreMap:
-		return "map"
 	case CoreDense:
 		return "dense"
-	case CoreUnboxed:
-		return "unboxed"
 	default:
 		return "?"
 	}
@@ -453,8 +437,8 @@ type Config struct {
 	// MaxEvals bounds the number of right-hand-side evaluations; 0 means
 	// effectively unbounded.
 	MaxEvals int
-	// Workers bounds the PSW worker pool; 0 means runtime.GOMAXPROCS(0).
-	// Sequential solvers ignore it.
+	// Workers bounds the worker pool of PSW and CPW; 0 means
+	// runtime.GOMAXPROCS(0). Sequential solvers ignore it.
 	Workers int
 	// Ctx, when non-nil, is polled at every scheduling point: once it is
 	// cancelled the solver stops at its next evaluation and returns the
@@ -485,10 +469,10 @@ type Config struct {
 	// CheckpointSink receives periodic snapshots as *Checkpoint[X, D]
 	// values (typed any because Config is element-type-agnostic).
 	CheckpointSink func(cp any)
-	// Core selects the execution core of the global solvers; the zero value
-	// (CoreAuto) picks the dense index-compiled core for systems of at
-	// least denseMinUnknowns unknowns. Results are bit-identical either
-	// way, and checkpoints captured by one core resume on the other.
+	// Core selects the value store of the global solvers; the zero value
+	// (CoreAuto) stores raw words where the domain and operator allow it,
+	// and CoreDense forces boxed values. Results are bit-identical either
+	// way, and checkpoints captured on one store resume on the other.
 	Core Core
 	// Resume, when non-nil, must hold a *Checkpoint[X, D] captured by the
 	// same solver on a system with the same shape; the solver continues the
@@ -515,20 +499,6 @@ func (c Config) started(now time.Time) Config {
 		c.deadline = now.Add(c.Timeout)
 	}
 	return c
-}
-
-// useDense decides which core a global solver runs on for a system of n
-// unknowns. CoreAuto keeps tiny systems on the map core: compiling the CSR
-// graph costs more than the whole solve there.
-func (c Config) useDense(n int) bool {
-	switch c.Core {
-	case CoreDense, CoreUnboxed:
-		return true
-	case CoreMap:
-		return false
-	default:
-		return n >= denseMinUnknowns
-	}
 }
 
 func (c Config) workers() int {

@@ -8,18 +8,21 @@ import (
 	"warrow/internal/lattice"
 )
 
-// patchChain builds a 20-unknown interval chain (big enough for CoreAuto to
-// compile): unknown 0 is a constant, every other unknown copies its
-// predecessor joined with a per-unknown constant.
-func patchChain() *eqn.System[int, lattice.Interval] {
+// patchChain builds a 20-unknown interval chain: unknown 0 is a constant,
+// every other unknown copies its predecessor joined with a per-unknown
+// constant — c(i) = i, or c(i) = edit[i] where edit has an entry.
+func patchChain(edit map[int]int64) *eqn.System[int, lattice.Interval] {
 	sys := eqn.NewSystem[int, lattice.Interval]()
 	sys.Define(0, nil, func(func(int) lattice.Interval) lattice.Interval {
 		return lattice.Singleton(0)
 	})
 	for i := 1; i < 20; i++ {
-		i := i
+		i, c := i, int64(i)
+		if v, ok := edit[i]; ok {
+			c = v
+		}
 		sys.Define(i, []int{i - 1}, func(get func(int) lattice.Interval) lattice.Interval {
-			return lattice.Ints.Join(get(i-1), lattice.Singleton(int64(i)))
+			return lattice.Ints.Join(get(i-1), lattice.Singleton(c))
 		})
 	}
 	return sys
@@ -32,7 +35,7 @@ func patchChain() *eqn.System[int, lattice.Interval] {
 // it. The eqn-side shape maps survive the same-deps edit by pointer
 // identity too, so nothing downstream recompiles.
 func TestRedefinePatchesDenseShape(t *testing.T) {
-	sys := patchChain()
+	sys := patchChain(nil)
 	l := lattice.Ints
 	op := WarrowOp[int](l)
 	init := eqn.ConstBottom[int, lattice.Interval](l)
@@ -79,20 +82,23 @@ func TestRedefinePatchesDenseShape(t *testing.T) {
 		t.Fatal("same-deps Redefine rebuilt DepGraph")
 	}
 
-	// The patched shape solves to the edited fixpoint, bit-identical to the
-	// map core on the same edited system.
-	after, _, err := SW(sys, l, op, init, cfg)
+	// The patched shape solves to the edited fixpoint, bit-identical to a
+	// fresh compile of the edited chain.
+	after, afterSt, err := SW(sys, l, op, init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapRes, _, err := SW(sys, l, op, init, Config{MaxEvals: 100_000, Core: CoreMap})
+	fresh, freshSt, err := SW(patchChain(map[int]int64{5: 50}), l, op, init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range sys.Order() {
-		if !l.Eq(after[x], mapRes[x]) {
-			t.Fatalf("patched dense solve of %v = %s, map core = %s", x, l.Format(after[x]), l.Format(mapRes[x]))
+		if !l.Eq(after[x], fresh[x]) {
+			t.Fatalf("patched solve of %v = %s, fresh compile = %s", x, l.Format(after[x]), l.Format(fresh[x]))
 		}
+	}
+	if afterSt != freshSt {
+		t.Fatalf("patched solve stats %+v, fresh compile %+v", afterSt, freshSt)
 	}
 	if l.Eq(after[19], before[19]) {
 		t.Fatalf("edit did not reach the chain tail: still %s", l.Format(after[19]))

@@ -100,8 +100,9 @@ func (q *idHeap) down(i int, e heapEntry) {
 // queued indices plus a lower bound on the minimum. push is a mask test and
 // popMin a find-first-set scan from the bound — no hashing, no comparisons,
 // no per-element bookkeeping. Because indices are unique priorities, the pop
-// sequence is exactly the binary heap's, which keeps the dense solvers
-// bit-identical to the map core (same evaluations, same MaxQueue).
+// sequence is exactly the binary heap's, which keeps SW and PSW
+// bit-identical to Fig. 4's priority queue (same evaluations, same
+// MaxQueue).
 type bucketQueue struct {
 	bits bitset
 	base int // index of bit 0

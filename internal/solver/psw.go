@@ -292,7 +292,7 @@ func (r *pswRun[X, D]) runStratum(s stratum, initQ []int) ([]int, error) {
 	// Each stratum gets its own step function: its evaluation scratch is
 	// per-run mutable state, while the shared assignment is safe to touch —
 	// concurrent strata write disjoint ranges and read only stable ones.
-	step := r.vc.stepper()
+	step := r.vc.stepper(false)
 	// suspend captures the still-queued indices in ascending order; the
 	// result is never nil, which is how the scheduler tells an interrupted
 	// stratum from a stabilized one.
@@ -314,7 +314,7 @@ func (r *pswRun[X, D]) runStratum(s stratum, initQ []int) ([]int, error) {
 			return suspend(), err
 		}
 		i := q.popMin()
-		changed, attempts, ee := step(i)
+		_, changed, attempts, ee := step(i, true)
 		if attempts > 1 {
 			r.retries.Add(int64(attempts - 1))
 		}

@@ -24,15 +24,14 @@
 //
 // All three iterate with the recursive strategy the decomposition induces —
 // stabilize a component completely before its surrounding component
-// re-evaluates — and run on the same three execution cores as the other
-// global solvers (map, dense boxed, dense unboxed) through one shared loop
-// (slrxRun) over a small core seam (slrxCore); there is no second
-// implementation of the iteration logic. Results certify as post-solutions
-// via internal/certify whenever the run terminates (the stabilized updates
-// satisfy σ(x) ⊒ fₓ(σ) at every unknown, by the same Lemma 1 argument as
-// for ⊟ everywhere), but they are NOT bit-pinned to SW: applying ⊞ at
-// fewer points changes the iterate sequence, generally to a pointwise
-// smaller (more precise) result.
+// re-evaluates — through one shared loop (slrxSolve) over the value-store
+// seam of the other global solvers (execCore, boxed values or raw words);
+// there is no second implementation of the iteration logic. Results
+// certify as post-solutions via internal/certify whenever the run
+// terminates (the stabilized updates satisfy σ(x) ⊒ fₓ(σ) at every
+// unknown, by the same Lemma 1 argument as for ⊟ everywhere), but they are
+// NOT bit-pinned to SW: applying ⊞ at fewer points changes the iterate
+// sequence, generally to a pointwise smaller (more precise) result.
 //
 // Two iteration decisions are load-bearing for termination, standing in for
 // the recursive evaluation discipline of the paper's local solvers (which
@@ -61,7 +60,6 @@
 package solver
 
 import (
-	"fmt"
 	"sort"
 
 	"warrow/internal/eqn"
@@ -289,316 +287,6 @@ const (
 	restartSCC
 )
 
-// slrxCore is the seam the shared SLR2/3/4 loop runs on. It is index-space
-// throughout (scheduling is over order positions on every core); the boxed
-// and unboxed wrappers delegate to the compiled structures, the map core
-// re-derives the same index view from the system's memoized maps, so the
-// three cores iterate identically and produce bit-identical results, Stats
-// and checkpoints.
-type slrxCore[X comparable, D any] interface {
-	// size is the number of unknowns.
-	size() int
-	// slrStepper returns the step function of one run: step(i, accel)
-	// evaluates unknown i under the eval guard, observes the step's phase,
-	// and stores op.Apply (accel — at widening points) or the plain
-	// right-hand-side value (elsewhere). It reports the observed phase,
-	// whether the value changed, the attempt count, and the evaluation
-	// error, if any; on an error nothing is rolled forward.
-	slrStepper() func(i int, accel bool) (Phase, bool, int, *EvalError)
-	// slrReset returns the restart primitive: reset(i) sets σ[i] back to
-	// init and reports whether that changed the value, emitting a
-	// PhaseRestart observation when it did.
-	slrReset() func(i int) bool
-	// noteRestart records a PhaseRestart observation for unknown i without
-	// touching its value — issued at a cascade's triggering widening point,
-	// whose shrink is part of the restart, not oscillation.
-	noteRestart(i int)
-	// influenced is the CSR influence row of unknown i: the positions of
-	// its readers, in the order eqn.Infl lists them.
-	influenced(i int) []int32
-	// unknowns and indices translate between order positions and X-space
-	// for the checkpoint queue.
-	unknowns(idxs []int) []X
-	indices(queue []X) ([]int, error)
-	// sigmaMap renders the assignment as the map the public API returns.
-	sigmaMap() map[X]D
-	// snapshot captures a checkpoint of the current assignment; the loop
-	// fills in the queue.
-	snapshot(name string, st Stats) *Checkpoint[X, D]
-	// restore applies a checkpointed assignment (see execCore.restore).
-	restore(cp *Checkpoint[X, D]) error
-	// release returns pooled stores; the core must not be used afterwards.
-	release()
-}
-
-// slrxBoxed runs the family on the dense core with boxed values. Unlike the
-// plain dense solvers, the wrapped boxedCore holds the UNinstrumented
-// operator: the slr step observes phases itself (it needs the phase to
-// decide restarts), in the same before-apply position as observedOp.
-type slrxBoxed[X comparable, D any] struct {
-	*boxedCore[X, D]
-	wd *watchdog[X]
-}
-
-func (c *slrxBoxed[X, D]) size() int                    { return len(c.order) }
-func (c *slrxBoxed[X, D]) influenced(i int) []int32     { return c.denseShape.infl(i) }
-func (c *slrxBoxed[X, D]) unknowns(idxs []int) []X      { return c.queueUnknowns(idxs) }
-func (c *slrxBoxed[X, D]) indices(q []X) ([]int, error) { return c.queueIndices(q) }
-
-func (c *slrxBoxed[X, D]) slrStepper() func(int, bool) (Phase, bool, int, *EvalError) {
-	e := c.evaluator()
-	return func(i int, accel bool) (Phase, bool, int, *EvalError) {
-		x := c.order[i]
-		e.cur = i
-		rhsVal, attempts, ee := guardedEval(c.g, x, e.thunk)
-		if ee != nil {
-			return PhaseStable, false, attempts, ee
-		}
-		old := c.vals[i]
-		ph := PhaseOf(c.l, old, rhsVal)
-		if c.wd != nil {
-			c.wd.observe(x, ph)
-		}
-		next := rhsVal
-		if accel {
-			next = c.op.Apply(x, old, rhsVal)
-		}
-		if c.l.Eq(old, next) {
-			return ph, false, attempts, nil
-		}
-		c.vals[i] = next
-		return ph, true, attempts, nil
-	}
-}
-
-func (c *slrxBoxed[X, D]) slrReset() func(int) bool {
-	return func(i int) bool {
-		x := c.order[i]
-		v0 := c.init(x)
-		if c.l.Eq(c.vals[i], v0) {
-			return false
-		}
-		if c.wd != nil {
-			c.wd.observe(x, PhaseRestart)
-		}
-		c.vals[i] = v0
-		return true
-	}
-}
-
-func (c *slrxBoxed[X, D]) noteRestart(i int) {
-	if c.wd != nil {
-		c.wd.observe(c.order[i], PhaseRestart)
-	}
-}
-
-// slrxRaw runs the family on the unboxed word core. rawCore already keeps
-// its operator uninstrumented and its watchdog explicit, so the wrapper
-// only adds the slr step and the reset primitive.
-type slrxRaw[X comparable, D any] struct {
-	*rawCore[X, D]
-}
-
-func (c *slrxRaw[X, D]) size() int                    { return len(c.order) }
-func (c *slrxRaw[X, D]) influenced(i int) []int32     { return c.denseShape.infl(i) }
-func (c *slrxRaw[X, D]) unknowns(idxs []int) []X      { return c.queueUnknowns(idxs) }
-func (c *slrxRaw[X, D]) indices(q []X) ([]int, error) { return c.queueIndices(q) }
-
-func (c *slrxRaw[X, D]) slrStepper() func(int, bool) (Phase, bool, int, *EvalError) {
-	stride := c.stride
-	words := c.words
-	raw := c.raw
-	e := c.rawCore.evaluator()
-	res := make([]uint64, stride)
-	return func(i int, accel bool) (Phase, bool, int, *EvalError) {
-		e.cur = i
-		x := c.order[i]
-		_, attempts, ee := guardedEval(c.g, x, e.thunk)
-		if ee != nil {
-			return PhaseStable, false, attempts, ee
-		}
-		old := words[i*stride : (i+1)*stride]
-		ph := rawPhase(raw, old, e.newv)
-		if c.wd != nil {
-			c.wd.observe(x, ph)
-		}
-		if accel {
-			c.op.rawApply(raw, res, old, e.newv)
-		} else {
-			copy(res, e.newv)
-		}
-		if raw.RawEq(old, res) {
-			return ph, false, attempts, nil
-		}
-		copy(old, res)
-		return ph, true, attempts, nil
-	}
-}
-
-func (c *slrxRaw[X, D]) slrReset() func(int) bool {
-	scratch := make([]uint64, c.stride)
-	return func(i int) bool {
-		x := c.order[i]
-		c.raw.RawEncode(scratch, c.init(x))
-		old := c.words[i*c.stride : (i+1)*c.stride]
-		if c.raw.RawEq(old, scratch) {
-			return false
-		}
-		if c.wd != nil {
-			c.wd.observe(x, PhaseRestart)
-		}
-		copy(old, scratch)
-		return true
-	}
-}
-
-func (c *slrxRaw[X, D]) noteRestart(i int) {
-	if c.wd != nil {
-		c.wd.observe(c.order[i], PhaseRestart)
-	}
-}
-
-// slrxMap runs the family on the map core: sigma stays a hash map (the
-// tiny-system fast path and the differential oracle the compiled wrappers
-// are pinned against), while scheduling uses the same index-space view the
-// dense cores use, derived once from the system's memoized order/Infl.
-type slrxMap[X comparable, D any] struct {
-	sys   *eqn.System[X, D]
-	l     lattice.Lattice[D]
-	op    Operator[X, D]
-	init  func(X) D
-	wd    *watchdog[X]
-	g     *evalGuard
-	order []X
-	idx   map[X]int
-	sigma map[X]D
-	infl  *eqn.InflCSR[X]
-}
-
-func newSlrxMap[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (*slrxMap[X, D], *watchdog[X]) {
-	order := sys.Order()
-	idx := sys.Index()
-	wd := newWatchdog(cfg, idx)
-	c := &slrxMap[X, D]{
-		sys: sys, l: l, op: op, init: init,
-		wd: wd, g: newEvalGuard(cfg),
-		order: order, idx: idx,
-		sigma: make(map[X]D, len(order)),
-		infl:  sys.InflCSR(),
-	}
-	for _, x := range order {
-		c.sigma[x] = init(x)
-	}
-	return c, wd
-}
-
-func (c *slrxMap[X, D]) size() int                { return len(c.order) }
-func (c *slrxMap[X, D]) influenced(i int) []int32 { return c.infl.Row(i) }
-func (c *slrxMap[X, D]) sigmaMap() map[X]D        { return c.sigma }
-func (c *slrxMap[X, D]) release()                 {}
-
-func (c *slrxMap[X, D]) unknowns(idxs []int) []X {
-	out := make([]X, len(idxs))
-	for k, i := range idxs {
-		out[k] = c.order[i]
-	}
-	return out
-}
-
-func (c *slrxMap[X, D]) indices(queue []X) ([]int, error) {
-	out := make([]int, len(queue))
-	for k, x := range queue {
-		j, ok := c.idx[x]
-		if !ok {
-			return nil, fmt.Errorf("%w: queued unknown %v is not in the system", ErrBadCheckpoint, x)
-		}
-		out[k] = j
-	}
-	return out, nil
-}
-
-func (c *slrxMap[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
-	return snapshotGlobal(name, c.sys, c.sigma, st)
-}
-
-func (c *slrxMap[X, D]) restore(cp *Checkpoint[X, D]) error {
-	for x, v := range cp.sigmaMap() {
-		c.sigma[x] = v
-	}
-	return nil
-}
-
-func (c *slrxMap[X, D]) slrStepper() func(int, bool) (Phase, bool, int, *EvalError) {
-	setCur, thunk := mapEvaluator(c.sys, c.sigma, c.init)
-	return func(i int, accel bool) (Phase, bool, int, *EvalError) {
-		x := c.order[i]
-		setCur(x)
-		rhsVal, attempts, ee := guardedEval(c.g, x, thunk)
-		if ee != nil {
-			return PhaseStable, false, attempts, ee
-		}
-		old := c.sigma[x]
-		ph := PhaseOf(c.l, old, rhsVal)
-		if c.wd != nil {
-			c.wd.observe(x, ph)
-		}
-		next := rhsVal
-		if accel {
-			next = c.op.Apply(x, old, rhsVal)
-		}
-		if c.l.Eq(old, next) {
-			return ph, false, attempts, nil
-		}
-		c.sigma[x] = next
-		return ph, true, attempts, nil
-	}
-}
-
-func (c *slrxMap[X, D]) slrReset() func(int) bool {
-	return func(i int) bool {
-		x := c.order[i]
-		v0 := c.init(x)
-		if c.l.Eq(c.sigma[x], v0) {
-			return false
-		}
-		if c.wd != nil {
-			c.wd.observe(x, PhaseRestart)
-		}
-		c.sigma[x] = v0
-		return true
-	}
-}
-
-func (c *slrxMap[X, D]) noteRestart(i int) {
-	if c.wd != nil {
-		c.wd.observe(c.order[i], PhaseRestart)
-	}
-}
-
-// buildSlrxCore picks the execution core for an SLR2/3/4 solve, with the
-// same selection rules as buildCore: dense for systems of at least
-// denseMinUnknowns unknowns (override with Config.Core), unboxed when the
-// operator is structured and the lattice has a clean raw encoding. The
-// operator is never instrumented — the slr step observes phases itself.
-func buildSlrxCore[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (slrxCore[X, D], *watchdog[X]) {
-	if cfg.useDense(sys.Len()) {
-		if cfg.Core != CoreDense {
-			if ro, ok := op.(rawOperator[D]); ok {
-				if raw := lattice.AsRaw[D](l); raw != nil {
-					if rc, ok := tryRawCompile(sys, raw, init); ok {
-						wd := newWatchdog(cfg, rc.idx)
-						return &slrxRaw[X, D]{&rawCore[X, D]{rawCompiled: rc, op: ro, wd: wd, g: newEvalGuard(cfg)}}, wd
-					}
-				}
-			}
-		}
-		c := compile(sys, init)
-		wd := newWatchdog(cfg, c.idx)
-		return &slrxBoxed[X, D]{boxedCore: &boxedCore[X, D]{compiled: c, l: l, op: op, g: newEvalGuard(cfg)}, wd: wd}, wd
-	}
-	return newSlrxMap(sys, l, op, init, cfg)
-}
-
 // SLR2 solves the system with ⊞ applied only at widening points and plain
 // replacement everywhere else (Amato et al., SLR2). Same signature and
 // bounds behavior as SW; checkpoints carry the assignment and the pending
@@ -644,11 +332,12 @@ func slrxRun[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) { return slrxSolve(sys, l, op, init, cfg, name, mode) })
 }
 
-// slrxSolve is one slrxRun on the core buildSlrxCore picks.
+// slrxSolve is one slrxRun on the value store buildCore picks.
 func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config, name string, mode restartMode) (map[X]D, Stats, error) {
-	core, wd := buildSlrxCore(sys, l, op, init, cfg)
+	core, wd := buildCore(sys, l, op, init, cfg)
 	defer core.release()
-	n := core.size()
+	sh := core.shape()
+	n := len(sh.order)
 	w := wpointsOf(sys)
 	ck := newCkptSink(cfg)
 	var st Stats
@@ -673,7 +362,7 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 			return core.sigmaMap(), st, err
 		}
 		cp.restoreStats(&st)
-		queued, qerr := core.indices(cp.Queue)
+		queued, qerr := sh.queueIndices(cp.Queue)
 		if qerr != nil {
 			return core.sigmaMap(), st, qerr
 		}
@@ -697,10 +386,11 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 				idxs = append(idxs, int(ip))
 			}
 		}
-		cp.Queue = core.unknowns(idxs)
+		cp.Queue = sh.queueUnknowns(idxs)
 		return cp
 	}
-	step := core.slrStepper()
+	// Only the restart cascade reads the step's phase.
+	step := core.stepper(mode != restartNone)
 	var reset func(int) bool
 	// Restart-cascade scratch, reused across cascades: work is the explicit
 	// iterative worklist (NEVER recursion — influence chains reach 10⁵
@@ -710,7 +400,7 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 	var work []int32
 	var seen, triggered bitset
 	if mode != restartNone {
-		reset = core.slrReset()
+		reset = core.resetter()
 		seen = newBitset(n)
 		triggered = newBitset(n)
 	}
@@ -767,7 +457,7 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 			continue
 		}
 		st.Updates++
-		for _, j := range core.influenced(i) {
+		for _, j := range sh.infl(i) {
 			mark(int(j))
 		}
 		if mode != restartNone && accel && ph == PhaseNarrow && !triggered.has(i) {
@@ -777,13 +467,15 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 			// the subtree's re-ascension would read as narrow→widen
 			// oscillation and trip MaxFlips on perfectly convergent runs.
 			triggered.set(i)
-			core.noteRestart(i)
+			if wd != nil {
+				wd.observe(sh.order[i], PhaseRestart)
+			}
 			pi := w.pos[i]
 			compEnd := int32(n)
 			if mode == restartSCC {
 				compEnd = w.comps[w.startComp[pi]].end
 			}
-			work = append(work[:0], core.influenced(i)...)
+			work = append(work[:0], sh.infl(i)...)
 			for len(work) > 0 {
 				j := int(work[len(work)-1])
 				work = work[:len(work)-1]
@@ -801,7 +493,7 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 					if reset(j) {
 						st.Restarts++
 					}
-					work = append(work, core.influenced(j)...)
+					work = append(work, sh.infl(j)...)
 				}
 			}
 			clear(seen)

@@ -73,39 +73,35 @@ func slrFamily[X comparable, D any]() map[string]func(*eqn.System[X, D], lattice
 	}
 }
 
-// TestSLRFamilyCrossCoreIdentity: the map, boxed-dense and unboxed cores run
-// the same iteration, so forcing each core on the same system must produce
-// identical values and identical work counters, including restarts.
+// TestSLRFamilyCrossCoreIdentity: the boxed and word stores run the same
+// iteration, so forcing each on the same system must produce identical
+// values and identical work counters, including restarts.
 func TestSLRFamilyCrossCoreIdentity(t *testing.T) {
 	l := lattice.Ints
 	r := rand.New(rand.NewSource(17))
 	init := func(int) iv { return lattice.EmptyInterval }
-	cores := map[string]Core{"map": CoreMap, "dense": CoreDense, "unboxed": CoreUnboxed}
+	op := WarrowOp[int, iv](l)
 	for trial := 0; trial < 25; trial++ {
 		sys := randMonotoneSystem(r, 2+r.Intn(8))
+		wantStores(t, sys, l, op, init, CoreAuto, true)
 		for name, run := range slrFamily[int, iv]() {
-			ref, refSt, err := run(sys, l, WarrowOp[int](l), init, Config{MaxEvals: 2_000_000, Core: CoreMap})
+			ref, refSt, err := run(sys, l, op, init, Config{MaxEvals: 2_000_000, Core: CoreDense})
 			if err != nil {
-				t.Fatalf("trial %d %s/map: %v", trial, name, err)
+				t.Fatalf("trial %d %s/dense: %v", trial, name, err)
 			}
-			for cname, core := range cores {
-				if cname == "map" {
-					continue
+			got, gotSt, err := run(sys, l, op, init, Config{MaxEvals: 2_000_000})
+			if err != nil {
+				t.Fatalf("trial %d %s/auto: %v", trial, name, err)
+			}
+			for x, v := range ref {
+				if !l.Eq(got[x], v) {
+					t.Fatalf("trial %d %s: σ[%d] = %s on words, %s on boxed values", trial, name, x, got[x], v)
 				}
-				got, gotSt, err := run(sys, l, WarrowOp[int](l), init, Config{MaxEvals: 2_000_000, Core: core})
-				if err != nil {
-					t.Fatalf("trial %d %s/%s: %v", trial, name, cname, err)
-				}
-				for x, v := range ref {
-					if !l.Eq(got[x], v) {
-						t.Fatalf("trial %d %s/%s: σ[%d] = %s, map core got %s", trial, name, cname, x, got[x], v)
-					}
-				}
-				if gotSt.Evals != refSt.Evals || gotSt.Updates != refSt.Updates || gotSt.Restarts != refSt.Restarts {
-					t.Fatalf("trial %d %s/%s: stats (evals %d, updates %d, restarts %d) diverge from map core (%d, %d, %d)",
-						trial, name, cname, gotSt.Evals, gotSt.Updates, gotSt.Restarts,
-						refSt.Evals, refSt.Updates, refSt.Restarts)
-				}
+			}
+			if gotSt.Evals != refSt.Evals || gotSt.Updates != refSt.Updates || gotSt.Restarts != refSt.Restarts {
+				t.Fatalf("trial %d %s: stats on words (evals %d, updates %d, restarts %d) diverge from boxed values (%d, %d, %d)",
+					trial, name, gotSt.Evals, gotSt.Updates, gotSt.Restarts,
+					refSt.Evals, refSt.Updates, refSt.Restarts)
 			}
 		}
 	}

@@ -91,10 +91,10 @@ func holdsExtreme(cp *Checkpoint[int, iv]) bool {
 	return false
 }
 
-// TestUnencodableRedoneBoxed: a solve on the unboxed core that computes a
-// value its words cannot hold answers exactly like the boxed dense core —
+// TestUnencodableRedoneBoxed: a solve on the word store that computes a
+// value its words cannot hold answers exactly like the boxed store —
 // completed, aborted on a budget after that value, and resumed from a
-// checkpoint that carries it — on CoreAuto and CoreUnboxed alike.
+// checkpoint that carries it.
 func TestUnencodableRedoneBoxed(t *testing.T) {
 	for _, s := range unencodableSolvers {
 		full := runOn(s.solve, Config{Core: CoreDense, Workers: 2})
@@ -109,17 +109,15 @@ func TestUnencodableRedoneBoxed(t *testing.T) {
 			t.Fatalf("%s: budget abort at %d evals (%v) carries no extreme value", s.name, budget.MaxEvals, cut.err)
 		}
 		resumed := runOn(s.solve, Config{Core: CoreDense, Workers: 2, Resume: cut.cp})
-		for _, core := range []Core{CoreAuto, CoreUnboxed} {
-			runOn(s.solve, Config{Core: core, Workers: 2}).agrees(t, s.name+"/"+core.String(), full)
-			budget.Core = core
-			runOn(s.solve, budget).agrees(t, s.name+"/"+core.String()+"/budget", cut)
-			runOn(s.solve, Config{Core: core, Workers: 2, Resume: cut.cp}).agrees(t, s.name+"/"+core.String()+"/resume", resumed)
-		}
+		runOn(s.solve, Config{Workers: 2}).agrees(t, s.name, full)
+		budget.Core = CoreAuto
+		runOn(s.solve, budget).agrees(t, s.name+"/budget", cut)
+		runOn(s.solve, Config{Workers: 2, Resume: cut.cp}).agrees(t, s.name+"/resume", resumed)
 	}
 }
 
-// TestUnencodableCPW: CPW's values on the unboxed core match the boxed
-// core's when the solve computes, or resumes from, an unencodable value.
+// TestUnencodableCPW: CPW's values on the word store match the boxed
+// store's when the solve computes, or resumes from, an unencodable value.
 func TestUnencodableCPW(t *testing.T) {
 	full := runOn(CPW[int, iv], Config{Core: CoreDense, Workers: 2})
 	if full.err != nil {
@@ -129,19 +127,17 @@ func TestUnencodableCPW(t *testing.T) {
 	if cut.cp == nil || !holdsExtreme(cut.cp) {
 		t.Fatalf("budget abort (%v) carries no extreme value", cut.err)
 	}
-	for _, core := range []Core{CoreAuto, CoreUnboxed} {
-		for _, cfg := range []Config{{Core: core, Workers: 2}, {Core: core, Workers: 2, Resume: cut.cp}} {
-			r := runOn(CPW[int, iv], cfg)
-			if r.err != nil || !reflect.DeepEqual(r.sigma, full.sigma) {
-				t.Errorf("%s (resume %v): err %v, values equal %v", core, cfg.Resume != nil, r.err, reflect.DeepEqual(r.sigma, full.sigma))
-			}
+	for _, cfg := range []Config{{Workers: 2}, {Workers: 2, Resume: cut.cp}} {
+		r := runOn(CPW[int, iv], cfg)
+		if r.err != nil || !reflect.DeepEqual(r.sigma, full.sigma) {
+			t.Errorf("resume %v: err %v, values equal %v", cfg.Resume != nil, r.err, reflect.DeepEqual(r.sigma, full.sigma))
 		}
 	}
 }
 
 // TestUnencodableRedoSkipsDeliveredCheckpoints: the redo does not hand the
-// periodic checkpoints the failed unboxed run already delivered to the sink
-// a second time, so the sink sees exactly the boxed core's sequence.
+// periodic checkpoints the failed word-store run already delivered to the
+// sink a second time, so the sink sees exactly the boxed store's sequence.
 func TestUnencodableRedoSkipsDeliveredCheckpoints(t *testing.T) {
 	sink := func(core Core) []int {
 		var evals []int
@@ -157,9 +153,7 @@ func TestUnencodableRedoSkipsDeliveredCheckpoints(t *testing.T) {
 	if len(want) < 4 {
 		t.Fatalf("boxed run emitted %d checkpoints, want several before and after the extreme value", len(want))
 	}
-	for _, core := range []Core{CoreAuto, CoreUnboxed} {
-		if got := sink(core); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: sink saw checkpoints at %v, boxed core at %v", core, got, want)
-		}
+	if got := sink(CoreAuto); !reflect.DeepEqual(got, want) {
+		t.Errorf("sink saw checkpoints at %v, boxed store at %v", got, want)
 	}
 }

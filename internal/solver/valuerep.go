@@ -1,34 +1,33 @@
-// Value-representation cores of the compiled global solvers.
+// Value stores of the compiled global solvers.
 //
-// The dense loops of dense.go and psw.go are written against execCore, which
-// hides how the assignment is stored. Two implementations exist:
+// Every global solver loop — RR, W, SRR and SW (dense.go), PSW (psw.go) and
+// SLR2–4 (slrx.go) — is written against execCore, which hides how the
+// assignment is stored. Two implementations exist:
 //
-//   - boxedCore keeps []D exactly as compile.go builds it — the dense core
-//     that existed before the unboxed work;
+//   - boxedCore keeps []D exactly as compile.go builds it;
 //   - rawCore stores every value as raw machine words (lattice.Raw): the
 //     assignment is one flat []uint64, update steps run entirely on word
 //     slices, and a boxed D materializes only at the boundaries — snapshots,
 //     sigma maps, and right-hand sides that have no fused raw form.
 //
-// Selection happens in buildCore: the unboxed store is used when the lattice
-// has a raw encoding (lattice.AsRaw), the update operator is structured
-// (rawOperator — WarrowOp and friends), and the initial assignment encodes
-// cleanly; otherwise the solve falls back to the boxed core. A value the
-// words cannot hold that turns up later — in the resume checkpoint or
-// computed mid-solve — fails the unboxed run with lattice.ErrUnencodable,
-// and redoBoxed answers the solve on the boxed core instead. Config.Core =
-// CoreDense forces the boxed store; CoreUnboxed requests the raw one but
-// still falls back when the domain cannot support it, so the flag is always
-// safe to set.
+// Selection happens in buildCore: under CoreAuto the word store is used
+// when the lattice has a raw encoding (lattice.AsRaw), the update operator
+// is structured (rawOperator — WarrowOp and friends), and the initial
+// assignment encodes cleanly; otherwise the solve runs on boxed values. A
+// value the words cannot hold that turns up later — in the resume
+// checkpoint or computed mid-solve — fails the word-store run with
+// lattice.ErrUnencodable, and redoBoxed answers the solve on boxed values
+// instead. Config.Core = CoreDense forces the boxed store.
 //
 // Bit-identity: the raw lattice operations are certified word-for-word
 // against the boxed ones (lattice.CheckRawAgreement and the raw tests), the
-// structured operators take the same branches on words as on values, and the
-// watchdog observes the same phases in the same order — so values, Stats,
-// abort reports and checkpoints are identical across all three cores, and
-// checkpoints (always boxed X-space on the wire) cross freely between them.
-// The differential tests in internal/diffsolve pin this per solver, per
-// domain, and across resume boundaries.
+// structured operators take the same branches on words as on values, and
+// both step functions observe the same phases in the same order — so
+// values, Stats, abort reports and checkpoints are identical across the two
+// stores, and checkpoints (always boxed X-space on the wire) cross freely
+// between them. The differential tests in internal/diffsolve pin this per
+// solver, per domain, and across resume boundaries, and compare both
+// stores with a map-based transcription of Figs. 1–4.
 package solver
 
 import (
@@ -42,18 +41,27 @@ import (
 )
 
 // execCore is what a compiled solver loop needs from the value store: shape
-// access for scheduling, a step function for the hot loop, and the boxed
-// boundary operations (results, checkpoints).
+// access for scheduling, a step function for the hot loop, the restart
+// primitive of SLR3/SLR4, and the boxed boundary operations (results,
+// checkpoints).
 type execCore[X comparable, D any] interface {
 	// shape exposes the memoized dense shape (order, CSR influence rows,
 	// queue translation).
 	shape() *denseShape[X, D]
-	// stepper returns the step function of one run (PSW: one stratum): step(i)
-	// evaluates unknown i under the eval guard, applies the update operator,
-	// and stores the result, reporting whether the value changed, how many
-	// evaluation attempts were made, and the evaluation error, if any. On an
-	// error nothing is rolled forward — the failed evaluation never happened.
-	stepper() func(i int) (changed bool, attempts int, ee *EvalError)
+	// stepper returns the step function of one run (PSW: one stratum):
+	// step(i, accel) evaluates unknown i under the eval guard, hands the
+	// step's phase to the watchdog, and stores op.Apply(old, rhs) when accel
+	// is set and the right-hand-side value rhs otherwise. It reports the
+	// phase, whether the value changed, how many evaluation attempts were
+	// made, and the evaluation error, if any. On an error nothing is rolled
+	// forward — the failed evaluation never happened. The phase is computed
+	// only when the watchdog is armed or phases is set; otherwise step
+	// reports PhaseStable.
+	stepper(phases bool) func(i int, accel bool) (ph Phase, changed bool, attempts int, ee *EvalError)
+	// resetter returns the restart primitive: reset(i) sets unknown i back
+	// to its initial value and reports whether that changed it, handing a
+	// PhaseRestart to the watchdog when it did.
+	resetter() func(i int) bool
 	// sigmaMap renders the assignment as the map the public API returns.
 	sigmaMap() map[X]D
 	// snapshot captures a checkpoint of the current assignment; the caller
@@ -68,35 +76,64 @@ type execCore[X comparable, D any] interface {
 	release()
 }
 
-// boxedCore is the dense core with boxed values: compiled's []D assignment
-// plus the pieces the step function needs. snapshot, restore, sigmaMap and
-// release come from the embedded compiled.
+// boxedCore is the compiled core with boxed values: compiled's []D
+// assignment plus the pieces the step function needs. snapshot, restore,
+// sigmaMap and release come from the embedded compiled.
 type boxedCore[X comparable, D any] struct {
 	*compiled[X, D]
 	l lattice.Lattice[D]
-	// op is the instrumented operator: the watchdog's phase hook is already
-	// attached, so Apply both observes and combines.
+	// op is the plain update operator: the step function observes each
+	// phase itself, right before Apply, as rawCore does.
 	op Operator[X, D]
+	wd *watchdog[X]
 	g  *evalGuard
 }
 
 func (bc *boxedCore[X, D]) shape() *denseShape[X, D] { return bc.denseShape }
 
-func (bc *boxedCore[X, D]) stepper() func(i int) (bool, int, *EvalError) {
+func (bc *boxedCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int, *EvalError) {
 	e := bc.evaluator()
-	return func(i int) (bool, int, *EvalError) {
+	wd := bc.wd
+	track := phases || wd != nil
+	return func(i int, accel bool) (Phase, bool, int, *EvalError) {
 		x := bc.order[i]
 		e.cur = i
 		rhsVal, attempts, ee := guardedEval(bc.g, x, e.thunk)
 		if ee != nil {
-			return false, attempts, ee
+			return PhaseStable, false, attempts, ee
 		}
-		next := bc.op.Apply(x, bc.vals[i], rhsVal)
-		if bc.l.Eq(bc.vals[i], next) {
-			return false, attempts, nil
+		old := bc.vals[i]
+		ph := PhaseStable
+		if track {
+			ph = PhaseOf(bc.l, old, rhsVal)
+			if wd != nil {
+				wd.observe(x, ph)
+			}
+		}
+		next := rhsVal
+		if accel {
+			next = bc.op.Apply(x, old, rhsVal)
+		}
+		if bc.l.Eq(old, next) {
+			return ph, false, attempts, nil
 		}
 		bc.vals[i] = next
-		return true, attempts, nil
+		return ph, true, attempts, nil
+	}
+}
+
+func (bc *boxedCore[X, D]) resetter() func(int) bool {
+	return func(i int) bool {
+		x := bc.order[i]
+		v0 := bc.init(x)
+		if bc.l.Eq(bc.vals[i], v0) {
+			return false
+		}
+		if bc.wd != nil {
+			bc.wd.observe(x, PhaseRestart)
+		}
+		bc.vals[i] = v0
+		return true
 	}
 }
 
@@ -165,8 +202,8 @@ func (rc *rawCompiled[X, D]) sigmaMap() map[X]D {
 
 // snapshot decodes the assignment into boxed Sigma rows in linear order.
 // Raw encodings are canonical and RawDecode inverts RawEncode exactly, so
-// the wire output is byte-identical to the boxed cores' on the same state —
-// which is what lets a checkpoint captured here resume on either of them.
+// the wire output is byte-identical to the boxed store's on the same state —
+// which is what lets a checkpoint captured here resume on either store.
 func (rc *rawCompiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
 	cp := &Checkpoint[X, D]{Solver: name, SysFP: Fingerprint(rc.sys)}
 	cp.Evals, cp.Updates, cp.Rounds, cp.MaxQueue, cp.Retries =
@@ -179,7 +216,7 @@ func (rc *rawCompiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
 }
 
 // restore encodes a checkpointed assignment into the word store. Entries for
-// unknowns outside the system are ignored, like the boxed cores do. A value
+// unknowns outside the system are ignored, like the boxed store does. A value
 // the encoding cannot represent — a boxed run may have checkpointed one —
 // fails the restore with lattice.ErrUnencodable.
 func (rc *rawCompiled[X, D]) restore(cp *Checkpoint[X, D]) (err error) {
@@ -204,13 +241,12 @@ func recoverUnencodable(err *error) {
 	}
 }
 
-// rawCore is the unboxed execution core: rawCompiled's word store plus the
+// rawCore is the word-store core: rawCompiled's word store plus the
 // structured operator and the watchdog hook.
 type rawCore[X comparable, D any] struct {
 	*rawCompiled[X, D]
-	// op is NOT instrumented — on the raw side the phase observation runs on
-	// words (rawPhase) and is issued explicitly by the step function, in the
-	// same before-apply position where observedOp.Apply issues it.
+	// op is the structured operator; the phase observation runs on words
+	// (rawPhase), right before rawApply, as in boxedCore.
 	op rawOperator[D]
 	wd *watchdog[X]
 	g  *evalGuard
@@ -296,30 +332,57 @@ func (rc *rawCore[X, D]) evaluator() *rawEval {
 	return e
 }
 
-func (rc *rawCore[X, D]) stepper() func(i int) (bool, int, *EvalError) {
+func (rc *rawCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int, *EvalError) {
 	stride := rc.stride
 	words := rc.words
 	raw := rc.raw
 	e := rc.evaluator()
-	// res receives the combined result of each step.
+	wd := rc.wd
+	track := phases || wd != nil
+	// res receives the combined result of each accelerated step.
 	res := make([]uint64, stride)
-	return func(i int) (bool, int, *EvalError) {
+	return func(i int, accel bool) (Phase, bool, int, *EvalError) {
 		e.cur = i
 		x := rc.order[i]
 		_, attempts, ee := guardedEval(rc.g, x, e.thunk)
 		if ee != nil {
-			return false, attempts, ee
+			return PhaseStable, false, attempts, ee
 		}
 		old := words[i*stride : (i+1)*stride]
+		ph := PhaseStable
+		if track {
+			ph = rawPhase(raw, old, e.newv)
+			if wd != nil {
+				wd.observe(x, ph)
+			}
+		}
+		next := e.newv
+		if accel {
+			rc.op.rawApply(raw, res, old, e.newv)
+			next = res
+		}
+		if raw.RawEq(old, next) {
+			return ph, false, attempts, nil
+		}
+		copy(old, next)
+		return ph, true, attempts, nil
+	}
+}
+
+func (rc *rawCore[X, D]) resetter() func(int) bool {
+	scratch := make([]uint64, rc.stride)
+	return func(i int) bool {
+		x := rc.order[i]
+		rc.raw.RawEncode(scratch, rc.init(x))
+		old := rc.words[i*rc.stride : (i+1)*rc.stride]
+		if rc.raw.RawEq(old, scratch) {
+			return false
+		}
 		if rc.wd != nil {
-			rc.wd.observe(x, rawPhase(raw, old, e.newv))
+			rc.wd.observe(x, PhaseRestart)
 		}
-		rc.op.rawApply(raw, res, old, e.newv)
-		if raw.RawEq(old, res) {
-			return false, attempts, nil
-		}
-		copy(old, res)
-		return true, attempts, nil
+		copy(old, scratch)
+		return true
 	}
 }
 
@@ -393,16 +456,15 @@ func (a *atomicWords) store(i int, src []uint64) {
 	a.seq[i].Add(1) // even: published
 }
 
-// redoBoxed runs a compiled solve and covers the unboxed core's one gap: a
+// redoBoxed runs a compiled solve and covers the word store's one gap: a
 // value its words cannot hold (an interval bound at the int64 extremes, a
 // set element outside the universe), whether the resume checkpoint carries
 // it or an evaluation computes it. The word store then fails the run with
 // lattice.ErrUnencodable, and redoBoxed runs the solve again from the same
-// starting point on the boxed dense core, which holds every value. Up to
-// that value both cores run identically, and right-hand sides are pure
-// (eqn.RHS), so the redo answers exactly as a boxed solve would — values,
-// Stats, abort report and checkpoint — and core selection never changes an
-// answer. A stateful right-hand side, such as a chaos fault injector,
+// starting point on boxed values, which hold every value. Up to that value
+// both stores run identically, and right-hand sides are pure (eqn.RHS), so
+// the redo answers exactly as a boxed solve would — values, Stats, abort
+// report and checkpoint — and store selection never changes an answer. A stateful right-hand side, such as a chaos fault injector,
 // observes the failed run's evaluations too. The redo keeps the first run's
 // wall-clock deadline and skips the periodic checkpoints the first run
 // already delivered.
@@ -432,12 +494,11 @@ func redoBoxed[X comparable, D any](cfg Config, run func(Config) (map[X]D, Stats
 	return run(cfg)
 }
 
-// buildCore picks the value representation for a compiled solve and builds
-// the core together with its watchdog. The unboxed store requires all three
-// of: a core selection that allows it (anything but CoreDense), a structured
-// update operator, and a lattice with a raw encoding whose initial
-// assignment encodes cleanly; any miss falls back to boxed values with the
-// exact pre-unboxed behavior.
+// buildCore picks the value store for a compiled solve and builds the core
+// together with its watchdog. The word store requires all three of: a core
+// selection that allows it (anything but CoreDense), a structured update
+// operator, and a lattice with a raw encoding whose initial assignment
+// encodes cleanly; any miss falls back to boxed values.
 func buildCore[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (execCore[X, D], *watchdog[X]) {
 	if cfg.Core != CoreDense {
 		if ro, ok := op.(rawOperator[D]); ok {
@@ -451,5 +512,5 @@ func buildCore[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 	}
 	c := compile(sys, init)
 	wd := newWatchdog(cfg, c.idx)
-	return &boxedCore[X, D]{compiled: c, l: l, op: instrument(wd, l, op), g: newEvalGuard(cfg)}, wd
+	return &boxedCore[X, D]{compiled: c, l: l, op: op, wd: wd, g: newEvalGuard(cfg)}, wd
 }
