@@ -39,9 +39,10 @@ chaos-smoke:
 serve-smoke:
 	go test -race -count=1 ./internal/serve/... ./cmd/eqsolved ./cmd/eqsolve
 
-# Native fuzzing of the differential harness, the certifier, and the chaos
-# property (seed corpora under internal/*/testdata/fuzz). Each target runs
-# for FUZZTIME.
+# Native fuzzing of the differential harness, the certifier, the chaos
+# property, the wire and checkpoint decoders, and the analysis environments
+# against their map oracle (seed corpora under internal/*/testdata/fuzz).
+# Each target runs for FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:
 	go test ./internal/diffsolve -run '^$$' -fuzz '^FuzzSolvers$$' -fuzztime $(FUZZTIME)
@@ -50,6 +51,7 @@ fuzz:
 	go test ./internal/chaos -run '^$$' -fuzz '^FuzzChaos$$' -fuzztime $(FUZZTIME)
 	go test ./internal/serve/proto -run '^$$' -fuzz '^FuzzProto$$' -fuzztime $(FUZZTIME)
 	go test ./internal/ckptcodec -run '^$$' -fuzz '^FuzzCkptDecode$$' -fuzztime $(FUZZTIME)
+	go test ./internal/analysis -run '^$$' -fuzz '^FuzzEnvOps$$' -fuzztime $(FUZZTIME)
 
 # Race-check just the solver package (fast inner loop while touching PSW).
 race-solver:
@@ -108,14 +110,14 @@ incr-smoke:
 # zero-alloc unboxed rows — of cold solves, where every operation compiles
 # a fresh system (the build layer), and of incremental re-solves: a leaf
 # edit and a Mutate batch with its undo (the write path), and of the
-# paper's own path: three Fig. 7 kernels under ⊟ and the four Table 1
-# configurations of 470.lbm, all through SLR⁺. Keeps the perf claims
+# paper's own path: three Fig. 7 kernels under ⊟ and two-phase (SLR⁺ and
+# TwoPhaseSidesKeyed) and the four Table 1 configurations of 470.lbm. Keeps the perf claims
 # continuously exercised without regenerating the committed BENCH_*.json
 # artifacts.
 bench-smoke:
 	go run ./cmd/bench -unboxed -smoke
 	go test ./internal/solver -run '^$$' -bench 'BenchmarkRR|BenchmarkSW|BenchmarkSLRThunk|BenchmarkColdSolve' -benchmem -benchtime 50x
 	go test ./internal/incr -run '^$$' -bench 'BenchmarkResolveLeaf|BenchmarkResolveMutate' -benchmem -benchtime 50x
-	go test -run '^$$' -bench 'BenchmarkFig7/(bsort|select|ud)/warrow$$|BenchmarkTable1/470.lbm/' -benchmem -benchtime 20x .
+	go test -run '^$$' -bench 'BenchmarkFig7/(bsort|select|ud)/(warrow|twophase)$$|BenchmarkTable1/470.lbm/' -benchmem -benchtime 20x .
 
 .PHONY: tier1 tier2 chaos-smoke serve-smoke cpw-smoke fuzz race-solver bench-psw bench-mega bench-unboxed bench-smoke bench-incr incr-smoke bench-slr slr-smoke

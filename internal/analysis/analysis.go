@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"warrow/internal/cfg"
@@ -126,13 +127,19 @@ type Options struct {
 
 // Result is the outcome of an analysis run.
 type Result struct {
-	CFG    *cfg.Program
-	PT     *points2.Result
-	EnvL   *EnvLattice
+	CFG  *cfg.Program
+	PT   *points2.Result
+	EnvL *EnvLattice
+	// Values is the solver's assignment. PointEnv, Contexts, Reachable and
+	// the reports built on them answer from an index of Values made on
+	// their first call; Values must not change after that.
 	Values map[Key]Env
 	Stats  solver.Stats
 	Opts   Options
 	sys    eqn.Sides[Key, Env]
+
+	indexOnce sync.Once
+	index     *pointIndex
 }
 
 // System returns the side-effecting constraint system the run solved, so a

@@ -74,16 +74,9 @@ type resultChecker struct {
 // errors under the computed invariants, plus abstractly-dead code. Findings
 // are sorted by position.
 func (r *Result) Check() []Warning {
-	flowIns := make(map[string]bool)
-	for k := range r.Values {
-		if k.Kind == KGlobal {
-			flowIns[k.Var] = true
-		}
-	}
-	a := &analyzer{pt: r.PT, envL: r.EnvL, ivl: r.EnvL.Iv, flowIns: flowIns}
 	c := &resultChecker{
 		r:        r,
-		ec:       evalCtx{a: a, readFI: func(id string) lattice.Interval { return r.Global(id) }},
+		ec:       r.evalCtx(),
 		arrayLen: make(map[string]int64),
 	}
 	for _, g := range r.CFG.AST.Globals {

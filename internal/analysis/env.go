@@ -16,7 +16,6 @@
 package analysis
 
 import (
-	"sort"
 	"strings"
 
 	"warrow/internal/lattice"
@@ -26,10 +25,17 @@ import (
 // non-address-taken locals in scope, or ⊥ for unreachable program points.
 // Variables without a binding are unconstrained (⊤ = [-∞,+∞]); bindings
 // equal to ⊤ are never stored, so environments stay small and canonical.
-// Env values are immutable.
+// Env values are immutable: every operation that changes a binding builds
+// a fresh slice and never writes into the receiver's.
 type Env struct {
 	bot  bool
-	vars map[string]lattice.Interval
+	vars []binding // sorted by id, ids unique
+}
+
+// binding is one variable's interval in an Env.
+type binding struct {
+	id string
+	v  lattice.Interval
 }
 
 // BotEnv is the unreachable environment.
@@ -41,14 +47,29 @@ var TopEnv = Env{}
 // IsBot reports whether the environment is unreachable.
 func (e Env) IsBot() bool { return e.bot }
 
+// find returns the position of id's binding, or the position at which it
+// would be inserted, and whether id is bound.
+func (e Env) find(id string) (int, bool) {
+	lo, hi := 0, len(e.vars)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e.vars[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(e.vars) && e.vars[lo].id == id
+}
+
 // Get returns the interval of id, or ⊤ if unbound. Get on ⊥ returns the
 // empty interval.
 func (e Env) Get(id string) lattice.Interval {
 	if e.bot {
 		return lattice.EmptyInterval
 	}
-	if v, ok := e.vars[id]; ok {
-		return v
+	if i, ok := e.find(id); ok {
+		return e.vars[i].v
 	}
 	return lattice.FullInterval
 }
@@ -63,20 +84,25 @@ func (e Env) Set(id string, v lattice.Interval) Env {
 	if v.IsEmpty() {
 		return BotEnv
 	}
-	full := lattice.Ints.Eq(v, lattice.FullInterval)
-	if full {
-		if _, had := e.vars[id]; !had {
+	i, had := e.find(id)
+	var vars []binding
+	switch {
+	case lattice.Ints.Eq(v, lattice.FullInterval):
+		if !had {
 			return e
 		}
-	}
-	vars := make(map[string]lattice.Interval, len(e.vars)+1)
-	for k, val := range e.vars {
-		vars[k] = val
-	}
-	if full {
-		delete(vars, id)
-	} else {
-		vars[id] = v
+		vars = make([]binding, 0, len(e.vars)-1)
+		vars = append(vars, e.vars[:i]...)
+		vars = append(vars, e.vars[i+1:]...)
+	case had:
+		vars = make([]binding, len(e.vars))
+		copy(vars, e.vars)
+		vars[i].v = v
+	default:
+		vars = make([]binding, 0, len(e.vars)+1)
+		vars = append(vars, e.vars[:i]...)
+		vars = append(vars, binding{id, v})
+		vars = append(vars, e.vars[i:]...)
 	}
 	return Env{vars: vars}
 }
@@ -92,11 +118,10 @@ func (e Env) Len() int { return len(e.vars) }
 
 // Ids returns the bound variable IDs, sorted.
 func (e Env) Ids() []string {
-	out := make([]string, 0, len(e.vars))
-	for k := range e.vars {
-		out = append(out, k)
+	out := make([]string, len(e.vars))
+	for i, b := range e.vars {
+		out[i] = b.id
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -108,9 +133,9 @@ func (e Env) String() string {
 	if len(e.vars) == 0 {
 		return "⊤"
 	}
-	parts := make([]string, 0, len(e.vars))
-	for _, id := range e.Ids() {
-		parts = append(parts, id+"="+e.vars[id].String())
+	parts := make([]string, len(e.vars))
+	for i, b := range e.vars {
+		parts[i] = b.id + "=" + b.v.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
@@ -143,15 +168,24 @@ func (l *EnvLattice) Leq(a, b Env) bool {
 	if b.bot {
 		return false
 	}
-	for id, bv := range b.vars {
-		if !l.Iv.Leq(a.Get(id), bv) {
+	i := 0
+	for _, bb := range b.vars {
+		for i < len(a.vars) && a.vars[i].id < bb.id {
+			i++
+		}
+		av := lattice.FullInterval
+		if i < len(a.vars) && a.vars[i].id == bb.id {
+			av = a.vars[i].v
+		}
+		if !l.Iv.Leq(av, bb.v) {
 			return false
 		}
 	}
 	return true
 }
 
-// Eq reports environment equality.
+// Eq reports environment equality. Both sides are sorted and hold no ⊤
+// binding, so equal environments agree binding by binding.
 func (l *EnvLattice) Eq(a, b Env) bool {
 	if a.bot || b.bot {
 		return a.bot == b.bot
@@ -159,49 +193,51 @@ func (l *EnvLattice) Eq(a, b Env) bool {
 	if len(a.vars) != len(b.vars) {
 		return false
 	}
-	for id, av := range a.vars {
-		bv, ok := b.vars[id]
-		if !ok || !l.Iv.Eq(av, bv) {
+	for i, ab := range a.vars {
+		if ab.id != b.vars[i].id || !l.Iv.Eq(ab.v, b.vars[i].v) {
 			return false
 		}
 	}
 	return true
 }
 
-// combine merges two reachable environments pointwise with op, dropping ⊤
-// results. onlyCommon restricts the result to ids bound in both (correct
-// for operations where op(x, ⊤) = ⊤, i.e. Join and Widen).
+// combine merges two reachable environments pointwise with op in one pass
+// over both sorted binding lists, dropping ⊤ results; an empty component
+// collapses the result to ⊥. onlyCommon restricts the result to ids bound
+// in both (correct for operations where op(x, ⊤) = ⊤, i.e. Join and
+// Widen).
 func (l *EnvLattice) combine(a, b Env, op func(x, y lattice.Interval) lattice.Interval, onlyCommon bool) Env {
-	vars := make(map[string]lattice.Interval)
-	for id, av := range a.vars {
-		bv, inB := b.vars[id]
-		if onlyCommon && !inB {
-			continue
-		}
-		if !inB {
-			bv = lattice.FullInterval
-		}
-		v := op(av, bv)
-		if v.IsEmpty() {
-			return BotEnv
-		}
-		if !l.Iv.Eq(v, lattice.FullInterval) {
-			vars[id] = v
-		}
+	n := len(a.vars) + len(b.vars)
+	if onlyCommon {
+		n = min(len(a.vars), len(b.vars))
 	}
-	for id, bv := range b.vars {
-		if _, inA := a.vars[id]; inA {
+	vars := make([]binding, 0, n)
+	i, j := 0, 0
+	for i < len(a.vars) || j < len(b.vars) {
+		var id string
+		x, y := lattice.FullInterval, lattice.FullInterval
+		both := false
+		switch {
+		case j == len(b.vars) || i < len(a.vars) && a.vars[i].id < b.vars[j].id:
+			id, x = a.vars[i].id, a.vars[i].v
+			i++
+		case i == len(a.vars) || b.vars[j].id < a.vars[i].id:
+			id, y = b.vars[j].id, b.vars[j].v
+			j++
+		default:
+			id, x, y, both = a.vars[i].id, a.vars[i].v, b.vars[j].v, true
+			i++
+			j++
+		}
+		if onlyCommon && !both {
 			continue
 		}
-		if onlyCommon {
-			continue
-		}
-		v := op(lattice.FullInterval, bv)
+		v := op(x, y)
 		if v.IsEmpty() {
 			return BotEnv
 		}
 		if !l.Iv.Eq(v, lattice.FullInterval) {
-			vars[id] = v
+			vars = append(vars, binding{id, v})
 		}
 	}
 	return Env{vars: vars}

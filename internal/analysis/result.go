@@ -16,44 +16,77 @@ func (r *Result) Global(id string) lattice.Interval {
 	return r.Values[Key{Kind: KGlobal, Var: id}].Get(id)
 }
 
+// pointIndex groups Values by program point, so that per-point queries do
+// not each scan every unknown.
+type pointIndex struct {
+	envs    map[pointKey]Env    // joined over contexts
+	ctxs    map[string][]string // sorted distinct contexts per function
+	reach   map[string]bool     // a reachable entry in some context
+	flowIns map[string]bool     // variables with a KGlobal unknown
+}
+
+// pointKey names a program point independently of its context.
+type pointKey struct {
+	fn   string
+	node int
+}
+
+// points returns the result's point index, building it in one pass over
+// Values on first use.
+func (r *Result) points() *pointIndex {
+	r.indexOnce.Do(func() {
+		ix := &pointIndex{
+			envs:    make(map[pointKey]Env),
+			ctxs:    make(map[string][]string),
+			reach:   make(map[string]bool),
+			flowIns: make(map[string]bool),
+		}
+		type fnCtx struct{ fn, ctx string }
+		seen := make(map[fnCtx]bool)
+		for k, v := range r.Values {
+			switch k.Kind {
+			case KGlobal:
+				ix.flowIns[k.Var] = true
+			case KPoint:
+				if k.Node == 0 && !v.IsBot() {
+					ix.reach[k.Fn] = true
+				}
+				if c := (fnCtx{k.Fn, k.Ctx}); !seen[c] {
+					seen[c] = true
+					ix.ctxs[k.Fn] = append(ix.ctxs[k.Fn], k.Ctx)
+				}
+				p := pointKey{k.Fn, k.Node}
+				if e, ok := ix.envs[p]; ok {
+					v = r.EnvL.Join(e, v)
+				}
+				ix.envs[p] = v
+			}
+		}
+		for _, cs := range ix.ctxs {
+			sort.Strings(cs)
+		}
+		r.index = ix
+	})
+	return r.index
+}
+
 // PointEnv returns the environment at a program point, joined over all
 // contexts in which the function was analyzed.
 func (r *Result) PointEnv(fn string, node int) Env {
-	out := BotEnv
-	for k, v := range r.Values {
-		if k.Kind == KPoint && k.Fn == fn && k.Node == node {
-			out = r.EnvL.Join(out, v)
-		}
+	if e, ok := r.points().envs[pointKey{fn, node}]; ok {
+		return e
 	}
-	return out
+	return BotEnv
 }
 
 // Contexts returns the distinct contexts in which fn was analyzed, sorted.
 func (r *Result) Contexts(fn string) []string {
-	seen := map[string]bool{}
-	for k := range r.Values {
-		if k.Kind == KPoint && k.Fn == fn && !seen[k.Ctx] {
-			seen[k.Ctx] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string{}, r.points().ctxs[fn]...)
 }
 
 // Reachable reports whether fn was analyzed in any context with a reachable
 // entry.
-func (r *Result) Reachable(fn string) bool {
-	for k, v := range r.Values {
-		if k.Kind == KPoint && k.Fn == fn && k.Node == 0 && !v.IsBot() {
-			return true
-		}
-	}
-	return false
-}
+func (r *Result) Reachable(fn string) bool { return r.points().reach[fn] }
 
 // NumUnknowns returns the number of unknowns the solver encountered.
 func (r *Result) NumUnknowns() int { return len(r.Values) }
@@ -144,6 +177,7 @@ type Assertion struct {
 // computed invariants (merged over contexts).
 func (r *Result) Assertions() []Assertion {
 	var out []Assertion
+	ec := r.evalCtx()
 	for _, fn := range r.CFG.Order {
 		g := r.CFG.Graphs[fn]
 		for _, n := range g.Nodes {
@@ -157,7 +191,7 @@ func (r *Result) Assertions() []Assertion {
 				case env.IsBot():
 					a.Status = AssertUnreachable
 				default:
-					switch r.truthAt(env, e.Cond) {
+					switch ec.truth(env, e.Cond) {
 					case lattice.TriTrue:
 						a.Status = AssertProved
 					case lattice.TriFalse:
@@ -179,18 +213,11 @@ func (r *Result) Assertions() []Assertion {
 	return out
 }
 
-// truthAt evaluates a condition against an environment using the computed
-// flow-insensitive values for globals.
-func (r *Result) truthAt(env Env, cond cint.Expr) lattice.Tri {
-	flowIns := make(map[string]bool)
-	for k := range r.Values {
-		if k.Kind == KGlobal {
-			flowIns[k.Var] = true
-		}
-	}
-	a := &analyzer{pt: r.PT, envL: r.EnvL, ivl: r.EnvL.Iv, flowIns: flowIns}
-	ec := evalCtx{a: a, readFI: func(id string) lattice.Interval { return r.Global(id) }}
-	return ec.truth(env, cond)
+// evalCtx returns an evaluation context over the computed invariants: the
+// variables with a flow-insensitive unknown read their computed values.
+func (r *Result) evalCtx() evalCtx {
+	a := &analyzer{pt: r.PT, envL: r.EnvL, ivl: r.EnvL.Iv, flowIns: r.points().flowIns}
+	return evalCtx{a: a, readFI: func(id string) lattice.Interval { return r.Global(id) }}
 }
 
 // AssertionReport renders the verdicts, one per line.
