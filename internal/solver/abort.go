@@ -224,8 +224,8 @@ const maxHotUnknowns = 5
 // unbounded Config, and every method is a no-op on a nil receiver, so
 // benchmark-grade runs pay nothing.
 //
-// All state is guarded by mu because PSW shares one watchdog across its
-// worker pool.
+// All state is guarded by mu because PSW and CPW each share one watchdog
+// across their worker pool.
 type watchdog[X comparable] struct {
 	budget   int
 	ctx      context.Context
@@ -258,7 +258,7 @@ type watchdog[X comparable] struct {
 // bound at all. idx, when non-nil, maps unknowns to their linear-order
 // positions (the global solvers pass the memoized eqn.Index); the watchdog
 // uses it to break hottest-unknown ties by index, so reports are stable
-// even when concurrent schedules (PSW) observe updates in different
+// even when concurrent schedules (PSW, CPW) observe updates in different
 // interleavings. Local solvers pass nil and tie-break on the rendered
 // unknown.
 func newWatchdog[X comparable](cfg Config, idx map[X]int) *watchdog[X] {
@@ -385,8 +385,9 @@ func (w *watchdog[X]) failEval(ee *EvalError, evals int) error {
 	return err
 }
 
-// abort builds the abort error from outside the lock (PSW's budget path,
-// which accounts evaluations atomically rather than through check). On a
+// abort builds the abort error from outside the lock (the budget path of
+// PSW and CPW, which account evaluations atomically rather than through
+// check). On a
 // nil watchdog it degrades to the bare sentinel.
 func (w *watchdog[X]) abort(reason AbortReason, evals int) error {
 	if w == nil {

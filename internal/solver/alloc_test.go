@@ -17,15 +17,15 @@ import (
 // change that reintroduces boxing on the hot path fails a test, not a
 // benchmark eyeball.
 
-// rawStepper builds the unboxed core for sys and fails the test if buildCore
-// falls back to boxed values — an alloc measurement of the wrong core would
-// pass vacuously.
-func rawStepper[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D]) (func(i int, accel bool) (Phase, bool, int, *EvalError), int) {
+// rawStepper builds the unboxed core for sys, shared (CPW's) or not, and
+// fails the test if buildCore falls back to boxed values — an alloc
+// measurement of the wrong core would pass vacuously.
+func rawStepper[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D], shared bool) (func(i int, accel bool) (Phase, bool, int, *EvalError), int) {
 	t.Helper()
-	vc, _ := buildCore(sys, l, WarrowOp[X, D](l), eqn.ConstBottom[X, D](l), Config{})
+	vc, _ := buildCore(sys, l, WarrowOp[X, D](l), eqn.ConstBottom[X, D](l), Config{}, shared)
 	t.Cleanup(vc.release)
-	if _, ok := vc.(*rawCore[X, D]); !ok {
-		t.Fatalf("buildCore returned %T, want *rawCore (raw gate regressed)", vc)
+	if rc, ok := vc.(*rawCore[X, D]); !ok || rc.shared != shared {
+		t.Fatalf("buildCore returned %T, want a *rawCore with shared=%v (raw gate regressed)", vc, shared)
 	}
 	return vc.stepper(false), len(vc.shape().order)
 }
@@ -49,7 +49,7 @@ func passAllocs(step func(i int, accel bool) (Phase, bool, int, *EvalError), n i
 
 func TestUnboxedIntervalEvalAllocFree(t *testing.T) {
 	g := eqgen.New(eqgen.Config{Seed: 5, Dom: eqgen.Interval, N: 256, FanIn: 3, NonMonoDensity: 0.3})
-	step, n := rawStepper(t, g.Interval, lattice.Ints)
+	step, n := rawStepper(t, g.Interval, lattice.Ints, false)
 	if a := passAllocs(step, n); a != 0 {
 		t.Fatalf("unboxed interval hot path allocates %.2f/eval, want 0", a)
 	}
@@ -74,7 +74,7 @@ func TestUnboxedEqdslIntervalEvalAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, nn := rawStepper(t, sys, lattice.Lattice[lattice.Interval](lattice.Ints))
+	step, nn := rawStepper(t, sys, lattice.Lattice[lattice.Interval](lattice.Ints), false)
 	if a := passAllocs(step, nn); a != 0 {
 		t.Fatalf("unboxed eqdsl interval hot path allocates %.2f/eval, want 0", a)
 	}
@@ -111,7 +111,7 @@ func TestUnboxedSignEvalAllocFree(t *testing.T) {
 			dst[0] = uint64(s)
 		})
 	}
-	step, nn := rawStepper(t, sys, lattice.Lattice[lattice.Sign](l))
+	step, nn := rawStepper(t, sys, lattice.Lattice[lattice.Sign](l), false)
 	if a := passAllocs(step, nn); a != 0 {
 		t.Fatalf("unboxed sign hot path allocates %.2f/eval, want 0", a)
 	}
@@ -122,7 +122,7 @@ func TestUnboxedPowersetEvalAllocFloor(t *testing.T) {
 	// arithmetic: zero allocations, same as interval and sign.
 	g := eqgen.New(eqgen.Config{Seed: 7, Dom: eqgen.Powerset, N: 256, FanIn: 3, NonMonoDensity: 0.3})
 	pl := eqgen.PowersetL()
-	step, n := rawStepper(t, g.Powerset, lattice.Lattice[lattice.Set[int]](pl))
+	step, n := rawStepper(t, g.Powerset, lattice.Lattice[lattice.Set[int]](pl), false)
 	if a := passAllocs(step, n); a != 0 {
 		t.Fatalf("fused powerset hot path allocates %.2f/eval, want 0", a)
 	}
@@ -142,7 +142,7 @@ func TestUnboxedPowersetEvalAllocFloor(t *testing.T) {
 			return pl.Join(pl.Join(get(a), get(b)), seedSet)
 		})
 	}
-	step, n = rawStepper(t, adapter, lattice.Lattice[lattice.Set[int]](pl))
+	step, n = rawStepper(t, adapter, lattice.Lattice[lattice.Set[int]](pl), false)
 	a := passAllocs(step, n)
 	t.Logf("powerset boundary-adapter floor: %.2f allocs/eval", a)
 	if a == 0 {
@@ -150,6 +150,31 @@ func TestUnboxedPowersetEvalAllocFloor(t *testing.T) {
 	}
 	if a > 32 {
 		t.Fatalf("powerset boundary adapter allocates %.2f/eval, want <= 32", a)
+	}
+}
+
+// TestCPWSharedStoreAllocFree: the shared word store CPW's workers run on
+// keeps the hot path allocation-free too — every read snapshots into the
+// step function's own scratch — both under the seqlock (intervals, two
+// words per unknown) and with plain atomic words (powersets of eqgen's
+// 16-element universe, one word).
+func TestCPWSharedStoreAllocFree(t *testing.T) {
+	ig := eqgen.New(eqgen.Config{Seed: 5, Dom: eqgen.Interval, N: 256, FanIn: 3, NonMonoDensity: 0.3})
+	pg := eqgen.New(eqgen.Config{Seed: 7, Dom: eqgen.Powerset, N: 256, FanIn: 3, NonMonoDensity: 0.3})
+	pl := eqgen.PowersetL()
+	if w := lattice.AsRaw[lattice.Interval](lattice.Ints).RawWords(); w != 2 {
+		t.Fatalf("interval stride = %d, want 2 (the seqlock case)", w)
+	}
+	if w := lattice.AsRaw[lattice.Set[int]](pl).RawWords(); w != 1 {
+		t.Fatalf("powerset stride = %d, want 1 (the plain atomic case)", w)
+	}
+	step, n := rawStepper(t, ig.Interval, lattice.Ints, true)
+	if a := passAllocs(step, n); a != 0 {
+		t.Errorf("shared interval store allocates %.2f/eval, want 0", a)
+	}
+	step, n = rawStepper(t, pg.Powerset, lattice.Lattice[lattice.Set[int]](pl), true)
+	if a := passAllocs(step, n); a != 0 {
+		t.Errorf("shared powerset store allocates %.2f/eval, want 0", a)
 	}
 }
 

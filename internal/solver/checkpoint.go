@@ -61,8 +61,8 @@ type Checkpoint[X comparable, D any] struct {
 	// bottom to top, SW's queued unknowns (priorities are recomputed from
 	// the linear order), and the dirty set of SLR2–4 in hierarchical order.
 	Queue []X
-	// Strata is PSW's per-stratum progress, indexed like the deterministic
-	// stratification of the system.
+	// Strata is PSW's and CPW's per-stratum progress, indexed like the
+	// deterministic stratification of the system.
 	Strata []StratumCheckpoint
 }
 
@@ -72,9 +72,9 @@ type CheckpointEntry[X comparable, D any] struct {
 	V D
 }
 
-// StratumCheckpoint records one PSW stratum's progress: completed strata
-// are skipped on resume, started ones resume from their pending queue
-// (order indices), and untouched ones start fresh.
+// StratumCheckpoint records one PSW or CPW stratum's progress: completed
+// strata are skipped on resume, started ones resume from their pending
+// queue (order indices), and untouched ones start fresh.
 type StratumCheckpoint struct {
 	Done    bool
 	Started bool
@@ -193,7 +193,7 @@ func (c *compiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
 		st.Evals, st.Updates, st.Rounds, st.MaxQueue, st.Retries
 	cp.Sigma = make([]CheckpointEntry[X, D], len(c.order))
 	for i, x := range c.order {
-		cp.Sigma[i] = CheckpointEntry[X, D]{X: x, V: c.vals[i]}
+		cp.Sigma[i] = CheckpointEntry[X, D]{X: x, V: c.at(i)}
 	}
 	return cp
 }
@@ -204,7 +204,7 @@ func (c *compiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
 func (c *compiled[X, D]) restore(cp *Checkpoint[X, D]) error {
 	for _, e := range cp.Sigma {
 		if j, ok := c.idx[e.X]; ok {
-			c.vals[j] = e.V
+			c.set(j, e.V)
 		}
 	}
 	return nil

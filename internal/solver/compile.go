@@ -2,6 +2,7 @@ package solver
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"warrow/internal/eqn"
 )
@@ -26,6 +27,10 @@ type compiled[X comparable, D any] struct {
 	init func(X) D
 	// vals is the assignment, indexed by order position.
 	vals []D
+	// ptrs replaces vals in a shared store (CPW): one atomic pointer per
+	// unknown to an immutable value, so a worker reading a slot while its
+	// owner replaces it sees the old value or the new one, never a mix.
+	ptrs []atomic.Pointer[D]
 }
 
 // denseShape is the shape-derived part of the compiled representation,
@@ -58,27 +63,47 @@ type denseShape[X comparable, D any] struct {
 // denseShapeKey is the ShapeMemo slot the compiled shape lives under.
 const denseShapeKey = "solver.denseShape"
 
-// compile builds the dense representation and the initial assignment. The
-// shape part is memoized on the System; only the assignment slice is fresh
-// per solve.
-func compile[X comparable, D any](sys *eqn.System[X, D], init func(X) D) *compiled[X, D] {
+// compile builds the dense representation and the initial assignment,
+// shared or not. The shape part is memoized on the System; only the
+// assignment is fresh per solve.
+func compile[X comparable, D any](sys *eqn.System[X, D], init func(X) D, shared bool) *compiled[X, D] {
 	sh := sys.ShapeMemo(denseShapeKey, func() any { return buildDenseShape(sys) }).(*denseShape[X, D])
-	var vals []D
-	if v, ok := sh.valsPool.Get().([]D); ok && len(v) == len(sh.order) {
-		vals = v
+	c := &compiled[X, D]{denseShape: sh, sys: sys, init: init}
+	if shared {
+		c.ptrs = make([]atomic.Pointer[D], len(sh.order))
+	} else if v, ok := sh.valsPool.Get().([]D); ok && len(v) == len(sh.order) {
+		c.vals = v
 	} else {
-		vals = make([]D, len(sh.order))
+		c.vals = make([]D, len(sh.order))
 	}
-	c := &compiled[X, D]{denseShape: sh, sys: sys, init: init, vals: vals}
 	for i, x := range sh.order {
-		c.vals[i] = init(x)
+		c.set(i, init(x))
 	}
 	return c
 }
 
-// release returns the assignment slice to the shape's pool. Callers must
-// not touch c.vals afterwards; snapshots and sigma maps taken earlier are
-// safe because they copied the values out.
+// at returns unknown i's value.
+func (c *compiled[X, D]) at(i int) D {
+	if c.ptrs != nil {
+		return *c.ptrs[i].Load()
+	}
+	return c.vals[i]
+}
+
+// set makes v unknown i's value; a shared store publishes a fresh copy.
+func (c *compiled[X, D]) set(i int, v D) {
+	if c.ptrs != nil {
+		p := new(D)
+		*p = v
+		c.ptrs[i].Store(p)
+		return
+	}
+	c.vals[i] = v
+}
+
+// release returns the assignment slice to the shape's pool; a shared store
+// has none. Callers must not touch c.vals afterwards; snapshots and sigma
+// maps taken earlier are safe because they copied the values out.
 func (c *compiled[X, D]) release() {
 	if c.vals == nil {
 		return
@@ -132,15 +157,16 @@ func (sh *denseShape[X, D]) infl(i int) []int32 {
 func (c *compiled[X, D]) sigmaMap() map[X]D {
 	sigma := make(map[X]D, len(c.order))
 	for i, x := range c.order {
-		sigma[x] = c.vals[i]
+		sigma[x] = c.at(i)
 	}
 	return sigma
 }
 
-// denseEval is the reusable evaluation closure pair of one dense run (or,
-// under PSW, of one stratum): get translates a right-hand side's X-typed
-// reads to slice accesses, and thunk evaluates the unknown cur points at.
-// Both closures are allocated once and reused for every evaluation.
+// denseEval is the reusable evaluation closure pair of one dense run (under
+// PSW, of one stratum; under CPW, of one worker): get translates a
+// right-hand side's X-typed reads to slice accesses, and thunk evaluates the
+// unknown cur points at. Both closures are allocated once and reused for
+// every evaluation.
 type denseEval[X comparable, D any] struct {
 	cur   int
 	get   func(X) D
@@ -149,10 +175,27 @@ type denseEval[X comparable, D any] struct {
 
 // evaluator builds the closure pair. PSW workers call this per stratum:
 // cur is worker-local while vals may be read concurrently (strata write
-// disjoint ranges; see psw.go for the hand-off argument).
+// disjoint ranges; see psw.go for the hand-off argument). CPW workers call
+// it once per run and read a shared store through its atomic pointers.
 func (c *compiled[X, D]) evaluator() *denseEval[X, D] {
 	e := &denseEval[X, D]{}
-	if c.identInt {
+	switch {
+	case c.identInt && c.ptrs != nil:
+		ptrs, initInt := c.ptrs, any(c.init).(func(int) D)
+		e.get = any(func(y int) D {
+			if uint(y) < uint(len(ptrs)) {
+				return *ptrs[y].Load()
+			}
+			return initInt(y)
+		}).(func(X) D)
+	case c.ptrs != nil:
+		e.get = func(y X) D {
+			if j, ok := c.idx[y]; ok {
+				return *c.ptrs[j].Load()
+			}
+			return c.init(y)
+		}
+	case c.identInt:
 		// X is int and order[i] == i, so an unknown is its own position:
 		// get degenerates to a bounds-checked slice load, with the bounds
 		// failure path (an unknown outside the system) falling back to σ₀
@@ -165,7 +208,7 @@ func (c *compiled[X, D]) evaluator() *denseEval[X, D] {
 			}
 			return initInt(y)
 		}).(func(X) D)
-	} else {
+	default:
 		e.get = func(y X) D {
 			if j, ok := c.idx[y]; ok {
 				return c.vals[j]

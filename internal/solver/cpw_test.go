@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"warrow/internal/certify"
+	"warrow/internal/eqgen"
 	"warrow/internal/eqn"
 	"warrow/internal/lattice"
 )
@@ -94,19 +95,25 @@ func TestCPWCertifiedOnTestSystems(t *testing.T) {
 }
 
 // wantStores fails the test unless the value stores built under core hold
-// raw words exactly when words is set — both the sequential solvers' store
-// (buildCore) and CPW's engine (buildCPWEngine). A cross-store test whose
-// word-store column silently ran on boxed values would pass vacuously.
+// raw words exactly when words is set — in both of buildCore's modes, the
+// sequential solvers' store and CPW's shared one, each in the mode asked
+// for. A cross-store test whose word-store column silently ran on boxed
+// values would pass vacuously.
 func wantStores[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, core Core, words bool) {
 	t.Helper()
-	vc, _ := buildCore(sys, l, op, init, Config{Core: core})
-	defer vc.release()
-	if _, ok := vc.(*rawCore[X, D]); ok != words {
-		t.Fatalf("core=%v: buildCore returned %T, want words=%v", core, vc, words)
-	}
-	en, _ := buildCPWEngine(sys, l, op, init, Config{Core: core})
-	if _, ok := en.(*cpwRaw[X, D]); ok != words {
-		t.Fatalf("core=%v: buildCPWEngine returned %T, want words=%v", core, en, words)
+	for _, shared := range []bool{false, true} {
+		vc, _ := buildCore(sys, l, op, init, Config{Core: core}, shared)
+		vc.release()
+		var isShared bool
+		switch c := vc.(type) {
+		case *rawCore[X, D]:
+			isShared = c.shared
+		case *boxedCore[X, D]:
+			isShared = c.ptrs != nil
+		}
+		if _, ok := vc.(*rawCore[X, D]); ok != words || isShared != shared {
+			t.Fatalf("core=%v shared=%v: buildCore returned %T (shared=%v), want words=%v", core, shared, vc, isShared, words)
+		}
 	}
 }
 
@@ -119,9 +126,9 @@ func TestOpaqueOperatorStoresBoxed(t *testing.T) {
 }
 
 // TestCPWCertifiedAcrossCores: the same ring on both store selections —
-// CoreAuto routes the structured WarrowOp to the atomic-word engine,
-// CoreDense to the atomic-pointer boxed engine — every run certified at
-// every worker count.
+// CoreAuto routes the structured WarrowOp to the shared word store,
+// CoreDense to the shared boxed store — every run certified at every
+// worker count.
 func TestCPWCertifiedAcrossCores(t *testing.T) {
 	l := lattice.Ints
 	sys := ringSystem(48)
@@ -147,9 +154,10 @@ func TestCPWEmptySystem(t *testing.T) {
 }
 
 // TestCPWBudgetAbortIsResumable: workers hitting the shared budget surface
-// ErrEvalBudget with the eval count clamped to the budget and a warm
-// checkpoint attached; resuming the checkpoint (possibly through more
-// budget exhaustions) eventually completes certified.
+// ErrEvalBudget with a warm checkpoint attached and an eval count equal to
+// the budget, because every reserved evaluation is performed; resuming the
+// checkpoint (possibly through more budget exhaustions) eventually
+// completes certified.
 func TestCPWBudgetAbortIsResumable(t *testing.T) {
 	l := lattice.Ints
 	sys := ringSystem(40)
@@ -160,7 +168,7 @@ func TestCPWBudgetAbortIsResumable(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want ErrEvalBudget", workers, err)
 		}
 		if st.Evals != 50 {
-			t.Errorf("workers=%d: Evals = %d, want clamped to 50", workers, st.Evals)
+			t.Errorf("workers=%d: Evals = %d, want 50", workers, st.Evals)
 		}
 		cp, ok := CheckpointOf[int, iv](err)
 		if !ok {
@@ -191,7 +199,7 @@ func TestCPWBudgetAbortIsResumable(t *testing.T) {
 	}
 }
 
-// TestCPWCheckpointCrossesCores: a checkpoint captured on one engine
+// TestCPWCheckpointCrossesCores: a checkpoint captured on one store
 // resumes on the other — boxed→unboxed and unboxed→boxed — and completes
 // certified, like every other solver's checkpoints.
 func TestCPWCheckpointCrossesCores(t *testing.T) {
@@ -261,7 +269,7 @@ func TestCPWNonMonotoneBudgetEnvelope(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want ErrEvalBudget", workers, err)
 		}
 		if st.Evals != 5000 {
-			t.Errorf("workers=%d: Evals = %d, want clamped to 5000", workers, st.Evals)
+			t.Errorf("workers=%d: Evals = %d, want 5000", workers, st.Evals)
 		}
 		if _, ok := CheckpointOf[string, iv](err); !ok {
 			t.Fatalf("workers=%d: no checkpoint on non-monotone abort", workers)
@@ -388,5 +396,42 @@ func TestCPWDegradingSingleWorker(t *testing.T) {
 	}
 	if rep := certify.System(l, sys, sigma, init); !rep.OK() {
 		t.Fatal(rep)
+	}
+}
+
+// BenchmarkCPW times warm CPW solves with two workers and the structured ⊟
+// on the shared word store: an eqgen interval system of many small strata,
+// where the per-stratum costs (pool start, shard queues) dominate, and a
+// recipe with 90% of its unknowns in one giant SCC, where the workers
+// contend inside one stratum. The shape is memoized by a first solve, so
+// each operation pays only the iteration and the per-run store. Run with
+// -benchmem: allocs/op is the per-run cost.
+func BenchmarkCPW(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  eqgen.Config
+	}{
+		{"strata/N=2048", eqgen.Config{Seed: 7, Dom: eqgen.Interval, N: 2048, FanIn: 3}},
+		{"giant=0.9/N=2048", eqgen.Config{Seed: 7, Dom: eqgen.Interval, N: 2048, FanIn: 2, GiantSCC: 0.9, WidenDensity: 0.3}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sys := eqgen.New(bc.cfg).Interval
+			l, op, init := lattice.Ints, WarrowOp[int, lattice.Interval](lattice.Ints), eqn.ConstBottom[int, lattice.Interval](lattice.Ints)
+			cfg := Config{Workers: 2}
+			if _, _, err := CPW(sys, l, op, init, cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			evals := 0
+			for i := 0; i < b.N; i++ {
+				_, st, err := CPW(sys, l, op, init, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals += st.Evals
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/solve")
+		})
 	}
 }

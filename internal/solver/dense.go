@@ -9,7 +9,7 @@ import (
 
 // rrDense is RR (Fig. 1) on the compiled representation.
 func rrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	vc, wd := buildCore(sys, l, op, init, cfg)
+	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
 	sh := vc.shape()
 	n := len(sh.order)
@@ -79,7 +79,7 @@ func rrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 // wDense is W (Fig. 2) on the compiled representation: the LIFO stack holds
 // order positions and the membership set is a bitset.
 func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	vc, wd := buildCore(sys, l, op, init, cfg)
+	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
 	sh := vc.shape()
 	n := len(sh.order)
@@ -164,7 +164,7 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 
 // srrDense is SRR (Fig. 3) on the compiled representation.
 func srrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	vc, wd := buildCore(sys, l, op, init, cfg)
+	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
 	sh := vc.shape()
 	n := len(sh.order)
@@ -233,7 +233,7 @@ func srrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], 
 // binary heap collapses into the monotone bucket queue, because an
 // unknown's priority is exactly its order position.
 func swDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	vc, wd := buildCore(sys, l, op, init, cfg)
+	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
 	sh := vc.shape()
 	n := len(sh.order)

@@ -107,8 +107,9 @@ type RetryPolicy struct {
 
 // evalGuard is the per-run recover barrier and retry loop shared by every
 // solver. It is always armed — panic isolation has no configuration knob —
-// while the retry behavior comes from Config.Retry. PSW shares one guard
-// across its worker pool, so the jitter stream is mutex-guarded.
+// while the retry behavior comes from Config.Retry. PSW and CPW each share
+// one guard across their worker pool, so the jitter stream is
+// mutex-guarded.
 type evalGuard struct {
 	policy RetryPolicy
 

@@ -462,9 +462,9 @@ type Config struct {
 	Retry RetryPolicy
 	// CheckpointEvery, when positive, emits a snapshot through
 	// CheckpointSink every that-many evaluations (in addition to the
-	// snapshot every abort carries in its report). PSW snapshots only on
-	// abort: a consistent cut of a running worker pool would require a
-	// global pause.
+	// snapshot every abort carries in its report). PSW and CPW snapshot
+	// only on abort: a consistent cut of a running worker pool would require
+	// a global pause.
 	CheckpointEvery int
 	// CheckpointSink receives periodic snapshots as *Checkpoint[X, D]
 	// values (typed any because Config is element-type-agnostic).

@@ -67,7 +67,7 @@ func PSW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 // psw is one PSW run on the value store buildCore picks.
 func psw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
 	start := time.Now()
-	vc, wd := buildCore(sys, l, op, init, cfg)
+	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
 	sh := vc.shape()
 	order := sh.order
@@ -76,53 +76,18 @@ func psw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	dec := DecompositionOf(sys)
 	strata := dec.strata
 
-	r := &pswRun[X, D]{
+	r := &pswRun[X, D]{poolRun[X, D]{
 		vc:     vc,
 		sh:     sh,
 		budget: int64(cfg.budget()),
 		wd:     wd,
-	}
+	}}
 
 	var st Stats
 	st.Unknowns = n
-
-	// done[si] is true for strata that stabilized — in a previous run (per
-	// the resume checkpoint) or in this one. initQ[si], when non-nil, is the
-	// queue a suspended stratum restarts from instead of its full range.
-	done := make([]bool, len(strata))
-	initQ := make([][]int, len(strata))
-	if cp, err := resumeCheckpoint(cfg, "psw", sys); err != nil {
+	done, initQ, err := r.resume(cfg, "psw", sys, strata, &st)
+	if err != nil {
 		return map[X]D{}, st, err
-	} else if cp != nil {
-		if len(cp.Strata) != len(strata) {
-			return map[X]D{}, st, fmt.Errorf("%w: checkpoint has %d strata, system has %d", ErrBadCheckpoint, len(cp.Strata), len(strata))
-		}
-		if err := vc.restore(cp); err != nil {
-			return map[X]D{}, st, err
-		}
-		for si, sc := range cp.Strata {
-			switch {
-			case sc.Done:
-				done[si] = true
-			case sc.Started:
-				for _, i := range sc.Queue {
-					if i < strata[si].lo || i > strata[si].hi {
-						return map[X]D{}, st, fmt.Errorf("%w: queued index %d outside stratum %d", ErrBadCheckpoint, i, si)
-					}
-				}
-				if len(sc.Queue) == 0 {
-					done[si] = true
-				} else {
-					initQ[si] = sc.Queue
-				}
-			}
-		}
-		r.evals.Store(int64(cp.Evals))
-		r.performed.Store(int64(cp.Evals))
-		r.updates.Store(int64(cp.Updates))
-		r.maxQueue.Store(int64(cp.MaxQueue))
-		r.retries.Store(int64(cp.Retries))
-		st.Rounds = cp.Rounds
 	}
 
 	workers := cfg.workers()
@@ -210,34 +175,9 @@ func psw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 		wg.Wait()
 	}
 
-	st.Evals = int(r.performed.Load())
-	st.Updates = int(r.updates.Load())
-	st.Retries = int(r.retries.Load())
-	st.MaxQueue = int(r.maxQueue.Load())
 	st.WallNs = time.Since(start).Nanoseconds()
-
-	sigma := vc.sigmaMap()
-	if firstErr != nil {
-		// The first abort's report was built while other workers still held
-		// budget reservations; each has since performed its evaluation or
-		// rolled it back. Only the final count is consistent with Stats.
-		var ae *AbortError
-		if errors.As(firstErr, &ae) {
-			ae.Report.Evals = st.Evals
-		}
-		cp := vc.snapshot("psw", st)
-		cp.Strata = make([]StratumCheckpoint, len(strata))
-		for si := range strata {
-			switch {
-			case done[si]:
-				cp.Strata[si] = StratumCheckpoint{Done: true}
-			case susp[si] != nil:
-				cp.Strata[si] = StratumCheckpoint{Started: true, Queue: susp[si]}
-			}
-		}
-		firstErr = attachCheckpoint(firstErr, cp)
-	}
-	return sigma, st, firstErr
+	sigma, err := r.settle("psw", &st, done, susp, firstErr)
+	return sigma, st, err
 }
 
 // stratumResult reports one dispatched stratum back to the scheduler:
@@ -249,11 +189,9 @@ type stratumResult struct {
 	err       error
 }
 
-// pswRun is the shared state of one PSW invocation. The core's assignment
-// (boxed values or raw words) is indexed by order position; concurrent
-// strata write disjoint index ranges and read only ranges whose strata
-// completed before they were dispatched.
-type pswRun[X comparable, D any] struct {
+// poolRun is the state PSW and CPW share across their worker pool: the
+// value store, the budget envelope and the counters.
+type poolRun[X comparable, D any] struct {
 	vc execCore[X, D]
 	sh *denseShape[X, D]
 
@@ -263,7 +201,9 @@ type pswRun[X comparable, D any] struct {
 	// the watchdog check and rolls it back if the evaluation does not
 	// happen, so at any instant it may include other workers' in-flight
 	// reservations. performed counts completed evaluations only; it is what
-	// Stats and the abort report carry.
+	// Stats and the abort report carry. Each worker counts its own and adds
+	// them when it stops, so evals is the one counter every evaluation
+	// touches.
 	evals     atomic.Int64
 	performed atomic.Int64
 	updates   atomic.Int64
@@ -271,6 +211,128 @@ type pswRun[X comparable, D any] struct {
 	maxQueue  atomic.Int64
 	abort     atomic.Bool
 }
+
+// resume applies the PSW or CPW checkpoint cfg.Resume holds, if any: it
+// restores the assignment, the counters and st.Rounds. done[si] reports
+// the strata that stabilized in a previous run; initQ[si], when non-nil,
+// is the queue a suspended stratum restarts from instead of its full
+// range.
+func (r *poolRun[X, D]) resume(cfg Config, name string, sys *eqn.System[X, D], strata []stratum, st *Stats) (done []bool, initQ [][]int, err error) {
+	done = make([]bool, len(strata))
+	initQ = make([][]int, len(strata))
+	cp, err := resumeCheckpoint(cfg, name, sys)
+	if err != nil || cp == nil {
+		return done, initQ, err
+	}
+	if len(cp.Strata) != len(strata) {
+		return nil, nil, fmt.Errorf("%w: checkpoint has %d strata, system has %d", ErrBadCheckpoint, len(cp.Strata), len(strata))
+	}
+	if err := r.vc.restore(cp); err != nil {
+		return nil, nil, err
+	}
+	for si, sc := range cp.Strata {
+		switch {
+		case sc.Done:
+			done[si] = true
+		case sc.Started:
+			for _, i := range sc.Queue {
+				if i < strata[si].lo || i > strata[si].hi {
+					return nil, nil, fmt.Errorf("%w: queued index %d outside stratum %d", ErrBadCheckpoint, i, si)
+				}
+			}
+			if len(sc.Queue) == 0 {
+				done[si] = true
+			} else {
+				initQ[si] = sc.Queue
+			}
+		}
+	}
+	r.evals.Store(int64(cp.Evals))
+	r.performed.Store(int64(cp.Evals))
+	r.updates.Store(int64(cp.Updates))
+	r.maxQueue.Store(int64(cp.MaxQueue))
+	r.retries.Store(int64(cp.Retries))
+	st.Rounds = cp.Rounds
+	return done, initQ, nil
+}
+
+// reserve takes one evaluation from the budget and consults the watchdog
+// before a worker evaluates. The abort reports of reserve and account carry
+// a provisional count, which settle rewrites once every worker has stopped.
+func (r *poolRun[X, D]) reserve() error {
+	n := r.evals.Add(1)
+	if n > r.budget {
+		// A bounded budget implies an armed watchdog.
+		return r.wd.abort(AbortBudget, int(r.budget))
+	}
+	if err := r.wd.check(int(n - 1)); err != nil {
+		// The reserved slot was never used — return it to the budget.
+		r.evals.Add(-1)
+		return err
+	}
+	return nil
+}
+
+// account records one reserved step's retries and, when its evaluation
+// failed, returns the abort error. The failed evaluation never happened,
+// so its reservation goes back to the budget.
+func (r *poolRun[X, D]) account(attempts int, ee *EvalError) error {
+	if attempts > 1 {
+		r.retries.Add(int64(attempts - 1))
+	}
+	if ee == nil {
+		return nil
+	}
+	return r.wd.failEval(ee, int(r.evals.Add(-1)))
+}
+
+// observeQueue raises the run's MaxQueue to a stratum's high-water mark.
+func (r *poolRun[X, D]) observeQueue(high int64) {
+	for {
+		cur := r.maxQueue.Load()
+		if high <= cur || r.maxQueue.CompareAndSwap(cur, high) {
+			return
+		}
+	}
+}
+
+// settle ends a run once every worker has stopped: it copies the counters
+// into st and renders σ. After an abort it rewrites the report's Evals to
+// the final count — the first abort's report was built while other
+// workers still held budget reservations, each since performed or rolled
+// back — and attaches the checkpoint, which records per stratum whether it
+// stabilized and which indices a suspended one still had queued.
+func (r *poolRun[X, D]) settle(name string, st *Stats, done []bool, susp [][]int, err error) (map[X]D, error) {
+	st.Evals = int(r.performed.Load())
+	st.Updates = int(r.updates.Load())
+	st.Retries = int(r.retries.Load())
+	st.MaxQueue = int(r.maxQueue.Load())
+	sigma := r.vc.sigmaMap()
+	if err == nil {
+		return sigma, nil
+	}
+	var ae *AbortError
+	if errors.As(err, &ae) {
+		ae.Report.Evals = st.Evals
+	}
+	cp := r.vc.snapshot(name, *st)
+	cp.Strata = make([]StratumCheckpoint, len(done))
+	for si := range done {
+		switch {
+		case done[si]:
+			cp.Strata[si] = StratumCheckpoint{Done: true}
+		case susp[si] != nil:
+			cp.Strata[si] = StratumCheckpoint{Started: true, Queue: susp[si]}
+		}
+	}
+	return sigma, attachCheckpoint(err, cp)
+}
+
+// pswRun is the state of one PSW invocation. The core's assignment (boxed
+// values or raw words) is indexed by order position; concurrent strata
+// write disjoint index ranges and read only ranges whose strata completed
+// before they were dispatched.
+type pswRun[X comparable, D any] struct{ poolRun[X, D] }
 
 // runStratum runs SW restricted to the unknowns of one stratum, with the
 // global order indices as priorities — the exact evaluation sequence
@@ -297,35 +359,24 @@ func (r *pswRun[X, D]) runStratum(s stratum, initQ []int) ([]int, error) {
 	// result is never nil, which is how the scheduler tells an interrupted
 	// stratum from a stabilized one.
 	suspend := func() []int { return q.indices() }
+	performed := int64(0)
+	defer func() { r.performed.Add(performed) }()
 	localMax := int64(q.len())
 	for !q.empty() {
 		if r.abort.Load() {
 			return suspend(), nil
 		}
-		n := r.evals.Add(1)
-		if n > r.budget {
-			// A bounded budget implies an armed watchdog. The scheduler
-			// rewrites the report's count once every worker has stopped.
-			return suspend(), r.wd.abort(AbortBudget, int(r.budget))
-		}
-		if err := r.wd.check(int(r.performed.Load())); err != nil {
-			// The reserved slot was never used — return it to the budget.
-			r.evals.Add(-1)
+		if err := r.reserve(); err != nil {
 			return suspend(), err
 		}
 		i := q.popMin()
 		_, changed, attempts, ee := step(i, true)
-		if attempts > 1 {
-			r.retries.Add(int64(attempts - 1))
-		}
-		if ee != nil {
-			// The failed evaluation never happened: roll the reservation back
-			// and keep x scheduled so the checkpoint re-evaluates it.
-			r.evals.Add(-1)
+		if err := r.account(attempts, ee); err != nil {
+			// Keep x scheduled so the checkpoint re-evaluates it.
 			q.push(i)
-			return suspend(), r.wd.failEval(ee, int(r.performed.Load()))
+			return suspend(), err
 		}
-		r.performed.Add(1)
+		performed++
 		if changed {
 			r.updates.Add(1)
 			q.push(i)
@@ -339,10 +390,6 @@ func (r *pswRun[X, D]) runStratum(s stratum, initQ []int) ([]int, error) {
 			}
 		}
 	}
-	for {
-		cur := r.maxQueue.Load()
-		if localMax <= cur || r.maxQueue.CompareAndSwap(cur, localMax) {
-			return nil, nil
-		}
-	}
+	r.observeQueue(localMax)
+	return nil, nil
 }

@@ -170,3 +170,48 @@ func TestPSWBudgetRacesEvalFailure(t *testing.T) {
 		t.Errorf("report Evals = %d, Stats.Evals = %d, want both %d", rep.Evals, st.Evals, budget-1)
 	}
 }
+
+// TestCPWBudgetRacesEvalFailure is TestPSWBudgetRacesEvalFailure for CPW,
+// which runs strata one at a time, so the evaluations race inside one SCC:
+// slow reads every counter, each counter reads itself and slow. While slow
+// holds a budget slot, the counters use up the rest; one worker trips the
+// budget, and slow's evaluation then fails and returns its slot. Stats, the
+// report and the checkpoint must all carry the evaluations actually
+// performed (budget − 1).
+func TestCPWBudgetRacesEvalFailure(t *testing.T) {
+	const budget = 20
+	l := lattice.Ints
+	started, countersDone := make(chan struct{}), make(chan struct{})
+	var startOnce, doneOnce sync.Once
+	var counted atomic.Int64
+	sys := eqn.NewSystem[string, iv]()
+	sys.Define("slow", []string{"c0", "c1", "c2"}, func(func(string) iv) iv {
+		startOnce.Do(func() { close(started) })
+		<-countersDone
+		// Give the worker that trips the budget time to report it first.
+		time.Sleep(50 * time.Millisecond)
+		panic("injected failure")
+	})
+	for c := 0; c < 3; c++ {
+		x := fmt.Sprintf("c%d", c)
+		sys.Define(x, []string{x, "slow"}, func(get func(string) iv) iv {
+			<-started
+			if counted.Add(1) == budget-1 {
+				doneOnce.Do(func() { close(countersDone) })
+			}
+			return l.Join(lattice.Singleton(0), get(x).Add(lattice.Singleton(1)))
+		})
+	}
+	_, st, err := CPW(sys, l, Op[string](Join[iv](l)), ivInit, Config{Workers: 4, MaxEvals: budget})
+	rep, ok := ReportOf(err)
+	if !ok || rep.Reason != AbortBudget {
+		t.Fatalf("err = %v, want the budget abort to arrive first", err)
+	}
+	cp, ok := CheckpointOf[string, iv](err)
+	if !ok {
+		t.Fatal("budget abort carried no checkpoint")
+	}
+	if st.Evals != budget-1 || rep.Evals != st.Evals || cp.Evals != st.Evals {
+		t.Errorf("Stats.Evals = %d, report Evals = %d, checkpoint Evals = %d, want all %d", st.Evals, rep.Evals, cp.Evals, budget-1)
+	}
+}

@@ -334,7 +334,7 @@ func slrxRun[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 
 // slrxSolve is one slrxRun on the value store buildCore picks.
 func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config, name string, mode restartMode) (map[X]D, Stats, error) {
-	core, wd := buildCore(sys, l, op, init, cfg)
+	core, wd := buildCore(sys, l, op, init, cfg, false)
 	defer core.release()
 	sh := core.shape()
 	n := len(sh.order)

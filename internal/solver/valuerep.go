@@ -1,8 +1,8 @@
 // Value stores of the compiled global solvers.
 //
-// Every global solver loop — RR, W, SRR and SW (dense.go), PSW (psw.go) and
-// SLR2–4 (slrx.go) — is written against execCore, which hides how the
-// assignment is stored. Two implementations exist:
+// Every global solver loop — RR, W, SRR and SW (dense.go), PSW (psw.go),
+// CPW (cpw.go) and SLR2–4 (slrx.go) — is written against execCore, which
+// hides how the assignment is stored. Two implementations exist:
 //
 //   - boxedCore keeps []D exactly as compile.go builds it;
 //   - rawCore stores every value as raw machine words (lattice.Raw): the
@@ -18,6 +18,20 @@
 // checkpoint or computed mid-solve — fails the word-store run with
 // lattice.ErrUnencodable, and redoBoxed answers the solve on boxed values
 // instead. Config.Core = CoreDense forces the boxed store.
+//
+// Shared mode. CPW's workers run step functions of one store concurrently,
+// so buildCore's shared flag, which only CPW sets, builds either store in a
+// form other workers can read while one worker writes: the boxed store
+// holds one atomic pointer per unknown to an immutable value in place of
+// the []D slice, and the word store publishes every update under a
+// per-unknown seqlock (see rawCompiled.load and store). A reader sees some
+// value the slot actually held — possibly a stale one, which chaotic
+// warrowing tolerates — but never a torn one. Each step function reads its
+// own unknown directly, because CPW's claim makes its caller that slot's
+// only writer, and the boundaries (sigmaMap, snapshot, restore, release)
+// are the sequential ones, because CPW calls them only while no worker
+// runs. The shared word store comes from and returns to the shape's pool
+// like every other.
 //
 // Bit-identity: the raw lattice operations are certified word-for-word
 // against the boxed ones (lattice.CheckRawAgreement and the raw tests), the
@@ -48,7 +62,8 @@ type execCore[X comparable, D any] interface {
 	// shape exposes the memoized dense shape (order, CSR influence rows,
 	// queue translation).
 	shape() *denseShape[X, D]
-	// stepper returns the step function of one run (PSW: one stratum):
+	// stepper returns the step function of one run (PSW: one stratum; CPW:
+	// one worker):
 	// step(i, accel) evaluates unknown i under the eval guard, hands the
 	// step's phase to the watchdog, and stores op.Apply(old, rhs) when accel
 	// is set and the right-hand-side value rhs otherwise. It reports the
@@ -58,9 +73,10 @@ type execCore[X comparable, D any] interface {
 	// only when the watchdog is armed or phases is set; otherwise step
 	// reports PhaseStable.
 	stepper(phases bool) func(i int, accel bool) (ph Phase, changed bool, attempts int, ee *EvalError)
-	// resetter returns the restart primitive: reset(i) sets unknown i back
-	// to its initial value and reports whether that changed it, handing a
-	// PhaseRestart to the watchdog when it did.
+	// resetter returns the restart primitive of SLR3/SLR4, which never run
+	// on a shared store: reset(i) sets unknown i back to its initial value
+	// and reports whether that changed it, handing a PhaseRestart to the
+	// watchdog when it did.
 	resetter() func(i int) bool
 	// sigmaMap renders the assignment as the map the public API returns.
 	sigmaMap() map[X]D
@@ -76,9 +92,10 @@ type execCore[X comparable, D any] interface {
 	release()
 }
 
-// boxedCore is the compiled core with boxed values: compiled's []D
-// assignment plus the pieces the step function needs. snapshot, restore,
-// sigmaMap and release come from the embedded compiled.
+// boxedCore is the compiled core with boxed values: compiled's assignment
+// (its []D, or its atomic pointers when shared) plus the pieces the step
+// function needs. snapshot, restore, sigmaMap and release come from the
+// embedded compiled.
 type boxedCore[X comparable, D any] struct {
 	*compiled[X, D]
 	l lattice.Lattice[D]
@@ -102,7 +119,7 @@ func (bc *boxedCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, in
 		if ee != nil {
 			return PhaseStable, false, attempts, ee
 		}
-		old := bc.vals[i]
+		old := bc.at(i)
 		ph := PhaseStable
 		if track {
 			ph = PhaseOf(bc.l, old, rhsVal)
@@ -117,7 +134,7 @@ func (bc *boxedCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, in
 		if bc.l.Eq(old, next) {
 			return ph, false, attempts, nil
 		}
-		bc.vals[i] = next
+		bc.set(i, next)
 		return ph, true, attempts, nil
 	}
 }
@@ -147,12 +164,18 @@ type rawCompiled[X comparable, D any] struct {
 	stride int
 	// words is the assignment: unknown i lives at words[i*stride:(i+1)*stride].
 	words []uint64
+	// shared marks a store CPW's workers use concurrently: reads of other
+	// unknowns go through load, updates through store. seq holds its
+	// per-unknown seqlock versions when the stride is more than one word;
+	// an atomic load of a single word is already a consistent snapshot.
+	shared bool
+	seq    []atomic.Uint32
 }
 
-// rawCompile builds the unboxed store and encodes the initial assignment.
-// It panics if an initial value has no raw encoding; buildCore catches that
-// and falls back to the boxed core.
-func rawCompile[X comparable, D any](sys *eqn.System[X, D], raw lattice.Raw[D], init func(X) D) *rawCompiled[X, D] {
+// rawCompile builds the unboxed store, shared or not, and encodes the
+// initial assignment. It panics if an initial value has no raw encoding;
+// buildCore catches that and falls back to the boxed core.
+func rawCompile[X comparable, D any](sys *eqn.System[X, D], raw lattice.Raw[D], init func(X) D, shared bool) *rawCompiled[X, D] {
 	sh := sys.ShapeMemo(denseShapeKey, func() any { return buildDenseShape(sys) }).(*denseShape[X, D])
 	stride := raw.RawWords()
 	n := len(sh.order)
@@ -162,7 +185,10 @@ func rawCompile[X comparable, D any](sys *eqn.System[X, D], raw lattice.Raw[D], 
 	} else {
 		words = make([]uint64, n*stride)
 	}
-	rc := &rawCompiled[X, D]{denseShape: sh, sys: sys, init: init, raw: raw, stride: stride, words: words}
+	rc := &rawCompiled[X, D]{denseShape: sh, sys: sys, init: init, raw: raw, stride: stride, words: words, shared: shared}
+	if shared && stride > 1 {
+		rc.seq = make([]atomic.Uint32, n)
+	}
 	for i, x := range sh.order {
 		raw.RawEncode(words[i*stride:(i+1)*stride], init(x))
 	}
@@ -173,13 +199,55 @@ func rawCompile[X comparable, D any](sys *eqn.System[X, D], raw lattice.Raw[D], 
 // fallback signal: an initial assignment the encoding cannot represent
 // (sentinel-colliding interval bounds, out-of-universe set elements) sends
 // the solve to the boxed core instead of crashing.
-func tryRawCompile[X comparable, D any](sys *eqn.System[X, D], raw lattice.Raw[D], init func(X) D) (rc *rawCompiled[X, D], ok bool) {
+func tryRawCompile[X comparable, D any](sys *eqn.System[X, D], raw lattice.Raw[D], init func(X) D, shared bool) (rc *rawCompiled[X, D], ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			rc, ok = nil, false
 		}
 	}()
-	return rawCompile(sys, raw, init), true
+	return rawCompile(sys, raw, init, shared), true
+}
+
+// load copies unknown i's value into dst (len ≥ stride) as a consistent
+// snapshot of a shared store. Under the seqlock a reader retries until it
+// sees the same even version on both sides of its copy: the writer makes
+// the version odd, stores the words, and makes it even again.
+func (rc *rawCompiled[X, D]) load(i int, dst []uint64) {
+	base := i * rc.stride
+	if rc.seq == nil {
+		dst[0] = atomic.LoadUint64(&rc.words[base])
+		return
+	}
+	for {
+		v := rc.seq[i].Load()
+		if v&1 == 0 {
+			for k := 0; k < rc.stride; k++ {
+				dst[k] = atomic.LoadUint64(&rc.words[base+k])
+			}
+			if rc.seq[i].Load() == v {
+				return
+			}
+		}
+		// A write is in flight; yield so its goroutine can finish even on
+		// GOMAXPROCS=1.
+		runtime.Gosched()
+	}
+}
+
+// store publishes src (len ≥ stride) as unknown i's value in a shared
+// store. Only one goroutine may store to a given slot at a time — CPW's
+// running claim is what enforces that.
+func (rc *rawCompiled[X, D]) store(i int, src []uint64) {
+	base := i * rc.stride
+	if rc.seq == nil {
+		atomic.StoreUint64(&rc.words[base], src[0])
+		return
+	}
+	rc.seq[i].Add(1) // odd: write in flight
+	for k := 0; k < rc.stride; k++ {
+		atomic.StoreUint64(&rc.words[base+k], src[k])
+	}
+	rc.seq[i].Add(1) // even: published
 }
 
 // release returns the word store to the shape's pool.
@@ -266,9 +334,10 @@ func rawPhase[D any](r lattice.Raw[D], old, new []uint64) Phase {
 	return PhaseWiden
 }
 
-// rawEval is the reusable evaluation environment of one raw run (or, under
-// PSW, of one stratum), the unboxed twin of denseEval: newv receives the
-// right-hand-side value of the unknown cur points at when thunk runs.
+// rawEval is the reusable evaluation environment of one raw run (under PSW,
+// of one stratum; under CPW, of one worker), the unboxed twin of denseEval:
+// newv receives the right-hand-side value of the unknown cur points at when
+// thunk runs.
 type rawEval struct {
 	cur   int
 	newv  []uint64
@@ -277,46 +346,82 @@ type rawEval struct {
 
 // evaluator builds the closure environment of one raw run. Per-evaluator
 // scratch: newv receives the right-hand-side value, ext the encoding of an
-// out-of-system read. One stratum owns one evaluator, so the buffers are
-// never shared across goroutines.
+// out-of-system read. One stratum (CPW: one worker) owns one evaluator, so
+// the buffers are never shared across goroutines.
 func (rc *rawCore[X, D]) evaluator() *rawEval {
 	stride := rc.stride
 	words := rc.words
 	raw := rc.raw
+	n := len(rc.order)
 	e := &rawEval{newv: make([]uint64, stride)}
 	ext := make([]uint64, stride)
 
 	// getRaw translates a right-hand side's X-typed reads to word slices, the
 	// raw twin of denseEval.get; out-of-system reads encode σ₀ into ext (the
 	// returned slice is only valid until the next get, which fused right-hand
-	// sides respect by consuming each read before the next).
+	// sides respect by consuming each read before the next). getBoxed is the
+	// boundary adapter for right-hand sides without a fused raw form: decode
+	// on read, evaluate boxed, encode the result.
 	var getRaw func(X) []uint64
-	if rc.identInt {
-		n := len(rc.order)
-		initInt := any(rc.init).(func(int) D)
-		getRaw = any(func(y int) []uint64 {
-			if uint(y) < uint(n) {
-				return words[y*stride : (y+1)*stride]
+	var getBoxed func(X) D
+	if rc.shared {
+		// Another worker may be storing to any slot but the caller's own, so
+		// a shared store hands out no live slice: every in-system read is
+		// loaded into read, and the same consume-before-next-get contract
+		// makes one buffer enough.
+		read := make([]uint64, stride)
+		if rc.identInt {
+			initInt := any(rc.init).(func(int) D)
+			getRaw = any(func(y int) []uint64 {
+				if uint(y) < uint(n) {
+					rc.load(y, read)
+					return read
+				}
+				raw.RawEncode(ext, initInt(y))
+				return ext
+			}).(func(X) []uint64)
+		} else {
+			getRaw = func(y X) []uint64 {
+				if j, ok := rc.idx[y]; ok {
+					rc.load(j, read)
+					return read
+				}
+				raw.RawEncode(ext, rc.init(y))
+				return ext
 			}
-			raw.RawEncode(ext, initInt(y))
-			return ext
-		}).(func(X) []uint64)
-	} else {
-		getRaw = func(y X) []uint64 {
+		}
+		getBoxed = func(y X) D {
 			if j, ok := rc.idx[y]; ok {
-				return words[j*stride : (j+1)*stride]
+				rc.load(j, read)
+				return raw.RawDecode(read)
 			}
-			raw.RawEncode(ext, rc.init(y))
-			return ext
+			return rc.init(y)
 		}
-	}
-	// getBoxed is the boundary adapter for right-hand sides without a fused
-	// raw form: decode on read, evaluate boxed, encode the result.
-	getBoxed := func(y X) D {
-		if j, ok := rc.idx[y]; ok {
-			return raw.RawDecode(words[j*stride : (j+1)*stride])
+	} else {
+		if rc.identInt {
+			initInt := any(rc.init).(func(int) D)
+			getRaw = any(func(y int) []uint64 {
+				if uint(y) < uint(n) {
+					return words[y*stride : (y+1)*stride]
+				}
+				raw.RawEncode(ext, initInt(y))
+				return ext
+			}).(func(X) []uint64)
+		} else {
+			getRaw = func(y X) []uint64 {
+				if j, ok := rc.idx[y]; ok {
+					return words[j*stride : (j+1)*stride]
+				}
+				raw.RawEncode(ext, rc.init(y))
+				return ext
+			}
 		}
-		return rc.init(y)
+		getBoxed = func(y X) D {
+			if j, ok := rc.idx[y]; ok {
+				return raw.RawDecode(words[j*stride : (j+1)*stride])
+			}
+			return rc.init(y)
+		}
 	}
 	// The thunk runs under the eval guard so that panics — in the right-hand
 	// side or in the result encoding — become EvalErrors, exactly like boxed
@@ -339,6 +444,7 @@ func (rc *rawCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int,
 	e := rc.evaluator()
 	wd := rc.wd
 	track := phases || wd != nil
+	shared := rc.shared
 	// res receives the combined result of each accelerated step.
 	res := make([]uint64, stride)
 	return func(i int, accel bool) (Phase, bool, int, *EvalError) {
@@ -348,6 +454,8 @@ func (rc *rawCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int,
 		if ee != nil {
 			return PhaseStable, false, attempts, ee
 		}
+		// On a shared store the caller holds i's claim, so no other worker
+		// stores to old while this step reads it.
 		old := words[i*stride : (i+1)*stride]
 		ph := PhaseStable
 		if track {
@@ -364,7 +472,11 @@ func (rc *rawCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int,
 		if raw.RawEq(old, next) {
 			return ph, false, attempts, nil
 		}
-		copy(old, next)
+		if shared {
+			rc.store(i, next)
+		} else {
+			copy(old, next)
+		}
 		return ph, true, attempts, nil
 	}
 }
@@ -384,76 +496,6 @@ func (rc *rawCore[X, D]) resetter() func(int) bool {
 		copy(old, scratch)
 		return true
 	}
-}
-
-// atomicWords is the racy-but-atomic word store of the chaotic solver: the
-// same flat stride-words-per-unknown layout as rawCompiled, but every access
-// goes through sync/atomic so concurrent workers can read a slot while its
-// single writer (CPW's claim protocol guarantees at most one) replaces it.
-//
-// For single-word domains (flat, sign, parity, powerset) an atomic load IS a
-// consistent snapshot. For wider strides a per-unknown seqlock removes torn
-// values entirely: the writer makes the version odd, stores the words, and
-// makes it even again; a reader retries until it sees the same even version
-// on both sides of its copy. Readers therefore always observe some value the
-// slot actually held — possibly a stale one, which chaotic warrowing
-// tolerates by construction (a staleness-induced change re-queues the
-// reader), but never a bit-mix of two values, which nothing tolerates.
-type atomicWords struct {
-	stride int
-	// words is the assignment: unknown i lives at words[i*stride:(i+1)*stride].
-	words []uint64
-	// seq holds the per-unknown seqlock versions; nil when stride == 1 and
-	// plain atomic word access already yields consistent snapshots.
-	seq []atomic.Uint32
-}
-
-func newAtomicWords(n, stride int) *atomicWords {
-	a := &atomicWords{stride: stride, words: make([]uint64, n*stride)}
-	if stride > 1 {
-		a.seq = make([]atomic.Uint32, n)
-	}
-	return a
-}
-
-// load copies unknown i's value into dst (len ≥ stride) as a consistent
-// snapshot.
-func (a *atomicWords) load(i int, dst []uint64) {
-	base := i * a.stride
-	if a.seq == nil {
-		dst[0] = atomic.LoadUint64(&a.words[base])
-		return
-	}
-	for {
-		v := a.seq[i].Load()
-		if v&1 == 0 {
-			for k := 0; k < a.stride; k++ {
-				dst[k] = atomic.LoadUint64(&a.words[base+k])
-			}
-			if a.seq[i].Load() == v {
-				return
-			}
-		}
-		// A write is in flight; yield so its goroutine can finish even on
-		// GOMAXPROCS=1.
-		runtime.Gosched()
-	}
-}
-
-// store publishes src (len ≥ stride) as unknown i's value. Only one
-// goroutine may store to a given slot at a time — CPW's running claim is
-// what enforces that.
-func (a *atomicWords) store(i int, src []uint64) {
-	base := i * a.stride
-	if a.seq == nil {
-		atomic.StoreUint64(&a.words[base], src[0])
-		return
-	}
-	a.seq[i].Add(1) // odd: write in flight
-	for k := 0; k < a.stride; k++ {
-		atomic.StoreUint64(&a.words[base+k], src[k])
-	}
-	a.seq[i].Add(1) // even: published
 }
 
 // redoBoxed runs a compiled solve and covers the word store's one gap: a
@@ -498,19 +540,21 @@ func redoBoxed[X comparable, D any](cfg Config, run func(Config) (map[X]D, Stats
 // together with its watchdog. The word store requires all three of: a core
 // selection that allows it (anything but CoreDense), a structured update
 // operator, and a lattice with a raw encoding whose initial assignment
-// encodes cleanly; any miss falls back to boxed values.
-func buildCore[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (execCore[X, D], *watchdog[X]) {
+// encodes cleanly; any miss falls back to boxed values. shared builds the
+// store in the form concurrent workers can share (CPW); the choice between
+// words and boxed values does not depend on it.
+func buildCore[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config, shared bool) (execCore[X, D], *watchdog[X]) {
 	if cfg.Core != CoreDense {
 		if ro, ok := op.(rawOperator[D]); ok {
 			if raw := lattice.AsRaw[D](l); raw != nil {
-				if rc, ok := tryRawCompile(sys, raw, init); ok {
+				if rc, ok := tryRawCompile(sys, raw, init, shared); ok {
 					wd := newWatchdog(cfg, rc.idx)
 					return &rawCore[X, D]{rawCompiled: rc, op: ro, wd: wd, g: newEvalGuard(cfg)}, wd
 				}
 			}
 		}
 	}
-	c := compile(sys, init)
+	c := compile(sys, init, shared)
 	wd := newWatchdog(cfg, c.idx)
 	return &boxedCore[X, D]{compiled: c, l: l, op: op, wd: wd, g: newEvalGuard(cfg)}, wd
 }
