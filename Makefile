@@ -108,16 +108,17 @@ incr-smoke:
 # gate + timing sanity, minutes not tens of minutes) plus the -benchmem
 # micro-benchmarks of the solver hot loops — including the zero-alloc
 # unboxed rows — of warm CPW solves on its shared store (the per-run cost,
-# on many strata and on one giant SCC), of cold solves, where every
-# operation compiles a fresh system (the build layer), and of incremental
-# re-solves: a leaf edit and a Mutate batch with its undo (the write path),
-# and of the paper's own path: three Fig. 7 kernels under ⊟ and two-phase
-# (SLR⁺ and TwoPhaseSidesKeyed) and the four Table 1 configurations of
-# 470.lbm. Keeps the perf claims continuously exercised without
-# regenerating the committed BENCH_*.json artifacts.
+# on many strata and on one giant SCC), of warm SW beside PSW at one and
+# two workers (the per-run cost on many small strata), of cold solves,
+# where every operation compiles a fresh system (the build layer), and of
+# incremental re-solves: a leaf edit and a Mutate batch with its undo (the
+# write path), and of the paper's own path: three Fig. 7 kernels under ⊟
+# and two-phase (SLR⁺ and TwoPhaseSidesKeyed) and the four Table 1
+# configurations of 470.lbm. Keeps the perf claims continuously exercised
+# without regenerating the committed BENCH_*.json artifacts.
 bench-smoke:
 	go run ./cmd/bench -unboxed -smoke
-	go test ./internal/solver -run '^$$' -bench 'BenchmarkRR|BenchmarkSW|BenchmarkSLRThunk|BenchmarkColdSolve|BenchmarkCPW' -benchmem -benchtime 50x
+	go test ./internal/solver -run '^$$' -bench 'BenchmarkRR|BenchmarkSW|BenchmarkSLRThunk|BenchmarkColdSolve|BenchmarkCPW|BenchmarkPSW' -benchmem -benchtime 50x
 	go test ./internal/incr -run '^$$' -bench 'BenchmarkResolveLeaf|BenchmarkResolveMutate' -benchmem -benchtime 50x
 	go test -run '^$$' -bench 'BenchmarkFig7/(bsort|select|ud)/(warrow|twophase)$$|BenchmarkTable1/470.lbm/' -benchmem -benchtime 20x .
 

@@ -178,6 +178,49 @@ func TestCPWSharedStoreAllocFree(t *testing.T) {
 	}
 }
 
+// TestPSWAllocsIndependentOfStrata pins that PSW pays for its workers once
+// per run, not once per stratum: a warm run on 2,048 one-unknown strata
+// allocates as often as one on a single stratum of the same 2,048
+// unknowns, at one worker and at two. The allowance covers what a run of
+// two workers sets up once — the second worker's step function and queue,
+// the goroutine, the ready list — since the single stratum runs at one
+// worker either way. CPW runs one-unknown strata on the calling goroutine,
+// so its allocations do not grow with their number either.
+func TestPSWAllocsIndependentOfStrata(t *testing.T) {
+	l := lattice.Lattice[lattice.Interval](lattice.Ints)
+	op, init := WarrowOp[int, lattice.Interval](l), eqn.ConstBottom[int, lattice.Interval](l)
+	strata := eqgen.New(eqgen.Config{Seed: 1, Dom: eqgen.Interval, N: 2048, MaxSCC: 1}).Interval
+	single := eqgen.New(eqgen.Config{Seed: 1, Dom: eqgen.Interval, N: 2048, GiantSCC: 1}).Interval
+	if got := DecompositionOf(strata).NumStrata(); got != 2048 {
+		t.Fatalf("MaxSCC 1 recipe has %d strata, want 2048", got)
+	}
+	if got := DecompositionOf(single).NumStrata(); got != 1 {
+		t.Fatalf("GiantSCC 1 recipe has %d strata, want 1", got)
+	}
+	type solver func(*eqn.System[int, lattice.Interval], lattice.Lattice[lattice.Interval], Operator[int, lattice.Interval], func(int) lattice.Interval, Config) (map[int]lattice.Interval, Stats, error)
+	allocs := func(solve solver, sys *eqn.System[int, lattice.Interval], cfg Config) float64 {
+		// The first solve memoizes the shape and the stratum DAG.
+		if _, _, err := solve(sys, l, op, init, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { solve(sys, l, op, init, cfg) })
+	}
+	const allowance = 16
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Workers: workers}
+		many, one := allocs(PSW[int, lattice.Interval], strata, cfg), allocs(PSW[int, lattice.Interval], single, cfg)
+		t.Logf("psw workers=%d: %.0f allocs on 2048 strata, %.0f on one", workers, many, one)
+		if many > one+allowance || one > many+allowance {
+			t.Errorf("psw workers=%d: %.0f allocs on 2048 strata, %.0f on one stratum, want equal within %d", workers, many, one, allowance)
+		}
+		many, one = allocs(CPW[int, lattice.Interval], strata, cfg), allocs(CPW[int, lattice.Interval], single, cfg)
+		t.Logf("cpw workers=%d: %.0f allocs on 2048 strata, %.0f on one", workers, many, one)
+		if many > one+allowance {
+			t.Errorf("cpw workers=%d: %.0f allocs on 2048 strata, %.0f on one stratum, want at most %d more", workers, many, one, allowance)
+		}
+	}
+}
+
 // boundedRing is an n-unknown interval ring whose right-hand sides allocate
 // nothing: x0 = [0,0] ⊔ (x[n-1] + 1) and x[i] = x[i-1] for i > 0, each
 // clamped to [0, k]. Under plain join every trip around the ring raises

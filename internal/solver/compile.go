@@ -163,7 +163,7 @@ func (c *compiled[X, D]) sigmaMap() map[X]D {
 }
 
 // denseEval is the reusable evaluation closure pair of one dense run (under
-// PSW, of one stratum; under CPW, of one worker): get translates a
+// PSW and CPW, of one worker): get translates a
 // right-hand side's X-typed reads to slice accesses, and thunk evaluates the
 // unknown cur points at. Both closures are allocated once and reused for
 // every evaluation.
@@ -173,10 +173,11 @@ type denseEval[X comparable, D any] struct {
 	thunk func() D
 }
 
-// evaluator builds the closure pair. PSW workers call this per stratum:
-// cur is worker-local while vals may be read concurrently (strata write
-// disjoint ranges; see psw.go for the hand-off argument). CPW workers call
-// it once per run and read a shared store through its atomic pointers.
+// evaluator builds the closure pair. PSW and CPW workers each call it once
+// per run, so cur is worker-local. Under PSW, vals may be read
+// concurrently (strata write disjoint ranges; see psw.go for the hand-off
+// argument); CPW's workers read a shared store through its atomic
+// pointers.
 func (c *compiled[X, D]) evaluator() *denseEval[X, D] {
 	e := &denseEval[X, D]{}
 	switch {

@@ -36,12 +36,14 @@ type Stratum struct{ Lo, Hi int }
 // Decomposition is the shape-derived structure of a static dependence graph
 // that every stratum-aware consumer reads: the readers relation (the reverse
 // of the graph) in CSR form, stratify's strata with the stratum of every
-// unknown, and the count of Tarjan's components with their size and depth
-// histograms. DecompositionOf memoizes it on the System, so the incremental
-// engine's cone and the parallel solvers' schedules pay the O(n + e) build
-// once per shape rather than once per call. The component part is built on
-// first use: only PSW and CPW report it. A Decomposition is read-only once
-// built and safe for concurrent use.
+// unknown, the count of Tarjan's components with their size and depth
+// histograms, and the DAG of dependences between strata. DecompositionOf
+// memoizes it on the System, so the incremental engine's cone and the
+// parallel solvers' schedules pay the O(n + e) build once per shape rather
+// than once per call. The component part and the stratum DAG are built on
+// first use — PSW and CPW report the components, and only PSW schedules by
+// the DAG — so Cone never pays for either. A Decomposition is read-only
+// once built and safe for concurrent use.
 type Decomposition struct {
 	adj [][]int
 	// rOff/rDat are the influence rows (eqn.InflCSR): j itself, then the
@@ -53,6 +55,9 @@ type Decomposition struct {
 
 	sccOnce sync.Once
 	scc     sccSummary
+
+	dagOnce sync.Once
+	dag     stratumDAG
 
 	// scratch is the marking state Cone reuses across calls; a Cone that
 	// finds it taken by a concurrent call allocates its own.
@@ -66,6 +71,18 @@ type sccSummary struct {
 	ncomp       int
 	size, depth Hist
 }
+
+// stratumDAG is the dependence DAG over a decomposition's strata, in CSR
+// form: preds[s] counts the distinct other strata that stratum s reads, all
+// of them earlier, and the strata that read s are
+// succDat[succOff[s]:succOff[s+1]], each once, ascending.
+type stratumDAG struct {
+	preds            []int32
+	succOff, succDat []int32
+}
+
+// succs returns the strata that read stratum s.
+func (g *stratumDAG) succs(s int) []int32 { return g.succDat[g.succOff[s]:g.succOff[s+1]] }
 
 // coneScratch marks visited unknowns and dirty strata with an epoch stamp,
 // so a cone never clears (or allocates) anything proportional to n.
@@ -235,4 +252,46 @@ func (d *Decomposition) observe(st *Stats) {
 	})
 	st.SCCs, st.Strata = d.scc.ncomp, len(d.strata)
 	st.SCCSize, st.SCCDepth = d.scc.size, d.scc.depth
+}
+
+// stratumDAG returns the dependence DAG between the strata, building it on
+// first use.
+func (d *Decomposition) stratumDAG() *stratumDAG {
+	d.dagOnce.Do(func() {
+		ns := len(d.strata)
+		g := &d.dag
+		g.preds = make([]int32, ns)
+		g.succOff = make([]int32, ns+1)
+		// seen[t] == s+1: stratum s already counted its edge from t. The
+		// first pass counts the edges, the second fills the rows; strata are
+		// visited in ascending order, so each row comes out ascending.
+		seen := make([]int32, ns)
+		edges := func(visit func(from, to int32)) {
+			clear(seen)
+			for si, s := range d.strata {
+				for i := s.lo; i <= s.hi; i++ {
+					for _, j := range d.adj[i] {
+						if t := d.stratumOf[j]; int(t) != si && seen[t] != int32(si)+1 {
+							seen[t] = int32(si) + 1
+							visit(t, int32(si))
+						}
+					}
+				}
+			}
+		}
+		edges(func(from, to int32) {
+			g.preds[to]++
+			g.succOff[from+1]++
+		})
+		for s := 0; s < ns; s++ {
+			g.succOff[s+1] += g.succOff[s]
+		}
+		g.succDat = make([]int32, g.succOff[ns])
+		next := slices.Clone(g.succOff[:ns])
+		edges(func(from, to int32) {
+			g.succDat[next[from]] = to
+			next[from]++
+		})
+	})
+	return &d.dag
 }

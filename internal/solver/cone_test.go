@@ -62,22 +62,24 @@ func bruteCone(adj [][]int, seeds []int) ([]int, int) {
 	return members, strata
 }
 
+// decompRecipes are seeded eqgen shapes for the decomposition tests:
+// backward-only, forward-edged and giant-SCC.
+var decompRecipes = []eqgen.Config{
+	{Seed: 1, N: 160},
+	{Seed: 2, N: 160, FanIn: 1, MaxSCC: 1},
+	{Seed: 3, N: 160, ForwardDensity: 0.02},
+	{Seed: 4, N: 160, ForwardDensity: 0.3, MaxSCC: 6},
+	{Seed: 5, N: 160, GiantSCC: 0.25},
+	{Seed: 6, N: 160, GiantSCC: 0.5, ForwardDensity: 0.05, FanIn: 3},
+}
+
 // TestConeMatchesBruteForce: the memoized cone equals the brute-force
-// reference on seeded eqgen recipes — backward-only, forward-edged and
-// giant-SCC shapes — across chains of eqgen.Mutate batches, some of which
-// change dependence lists (so a stale memo would show as a wrong cone). The
-// unmemoized DirtyCone wrapper must agree too.
+// reference on decompRecipes across chains of eqgen.Mutate batches, some of
+// which change dependence lists (so a stale memo would show as a wrong
+// cone). The unmemoized DirtyCone wrapper must agree too.
 func TestConeMatchesBruteForce(t *testing.T) {
-	recipes := []eqgen.Config{
-		{Seed: 1, N: 160},
-		{Seed: 2, N: 160, FanIn: 1, MaxSCC: 1},
-		{Seed: 3, N: 160, ForwardDensity: 0.02},
-		{Seed: 4, N: 160, ForwardDensity: 0.3, MaxSCC: 6},
-		{Seed: 5, N: 160, GiantSCC: 0.25},
-		{Seed: 6, N: 160, GiantSCC: 0.5, ForwardDensity: 0.05, FanIn: 3},
-	}
 	rebuilds := 0
-	for ri, cfg := range recipes {
+	for ri, cfg := range decompRecipes {
 		g := eqgen.New(cfg)
 		sys := g.Interval
 		n := sys.Len()
@@ -113,6 +115,55 @@ func TestConeMatchesBruteForce(t *testing.T) {
 	}
 	if rebuilds == 0 {
 		t.Fatal("no Mutate batch changed a dependence list: the rebuild path went unexercised")
+	}
+}
+
+// TestStratumDAGMatchesBruteForce: the memoized stratum DAG PSW schedules
+// by equals a reference collected edge by edge into a set per stratum, on
+// decompRecipes: every stratum's readers appear once each, ascending, all
+// of them later strata, and its predecessor count is the number of strata
+// it reads.
+func TestStratumDAGMatchesBruteForce(t *testing.T) {
+	for _, cfg := range decompRecipes {
+		sys := eqgen.New(cfg).Interval
+		adj := sys.DepGraph()
+		strata := Stratify(adj)
+		of := make([]int, len(adj))
+		for si, s := range strata {
+			for i := s.Lo; i <= s.Hi; i++ {
+				of[i] = si
+			}
+		}
+		readers := make([]map[int]bool, len(strata))
+		preds := make([]int32, len(strata))
+		for i, row := range adj {
+			for _, j := range row {
+				if from, to := of[j], of[i]; from != to && !readers[from][to] {
+					if readers[from] == nil {
+						readers[from] = map[int]bool{}
+					}
+					readers[from][to] = true
+					preds[to]++
+				}
+			}
+		}
+		g := DecompositionOf(sys).stratumDAG()
+		if !slices.Equal(g.preds, preds) {
+			t.Fatalf("%s: preds %v, want %v", cfg, g.preds, preds)
+		}
+		for from := range strata {
+			var want []int32
+			for to := range readers[from] {
+				if to <= from {
+					t.Fatalf("%s: stratum %d reads later stratum %d", cfg, to, from)
+				}
+				want = append(want, int32(to))
+			}
+			slices.Sort(want)
+			if got := g.succs(from); !slices.Equal(got, want) {
+				t.Fatalf("%s: readers of stratum %d = %v, want %v", cfg, from, got, want)
+			}
+		}
 	}
 }
 
@@ -259,8 +310,8 @@ func TestShapeStatsFromDecomposition(t *testing.T) {
 
 // TestDecompositionConcurrentUse: one memoized decomposition serves
 // concurrent cones (the reusable scratch is taken by at most one of them)
-// and concurrent PSW/CPW solves (the component part is built once), every
-// answer equal to the sequential one. Run it under -race. The solves use
+// and concurrent PSW/CPW solves (the component part and the stratum DAG are
+// built once), every answer equal to the sequential one. Run it under -race. The solves use
 // the boxed core: eqgen's fused interval right-hand sides keep a scratch
 // buffer per equation, so two concurrent solves of one eqgen system on the
 // unboxed core would race inside the equations themselves.

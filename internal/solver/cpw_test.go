@@ -399,19 +399,24 @@ func TestCPWDegradingSingleWorker(t *testing.T) {
 	}
 }
 
+// strataRecipe is the many-strata system BenchmarkCPW and BenchmarkPSW
+// share: an eqgen interval system of 2,048 unknowns in mostly one-unknown
+// strata.
+var strataRecipe = eqgen.Config{Seed: 7, Dom: eqgen.Interval, N: 2048, FanIn: 3}
+
 // BenchmarkCPW times warm CPW solves with two workers and the structured ⊟
-// on the shared word store: an eqgen interval system of many small strata,
-// where the per-stratum costs (pool start, shard queues) dominate, and a
-// recipe with 90% of its unknowns in one giant SCC, where the workers
-// contend inside one stratum. The shape is memoized by a first solve, so
-// each operation pays only the iteration and the per-run store. Run with
-// -benchmem: allocs/op is the per-run cost.
+// on the shared word store: strataRecipe, where the per-stratum costs
+// (starting a worker for each stratum of more than one unknown, seeding
+// the shard queue) dominate, and a recipe with 90% of its unknowns in one
+// giant SCC, where the workers contend inside one stratum. The shape is
+// memoized by a first solve, so each operation pays only the iteration and
+// the per-run store. Run with -benchmem: allocs/op is the per-run cost.
 func BenchmarkCPW(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		cfg  eqgen.Config
 	}{
-		{"strata/N=2048", eqgen.Config{Seed: 7, Dom: eqgen.Interval, N: 2048, FanIn: 3}},
+		{"strata/N=2048", strataRecipe},
 		{"giant=0.9/N=2048", eqgen.Config{Seed: 7, Dom: eqgen.Interval, N: 2048, FanIn: 2, GiantSCC: 0.9, WidenDensity: 0.3}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

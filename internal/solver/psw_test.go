@@ -11,6 +11,7 @@ import (
 	"warrow/internal/cfg"
 	"warrow/internal/cint"
 	"warrow/internal/eqdsl"
+	"warrow/internal/eqgen"
 	"warrow/internal/eqn"
 	"warrow/internal/lattice"
 	"warrow/internal/wcet"
@@ -448,5 +449,60 @@ func TestAddStatsMaxQueue(t *testing.T) {
 	}
 	if got.Unknowns != 5 {
 		t.Errorf("Unknowns = %d, want 5", got.Unknowns)
+	}
+}
+
+// BenchmarkPSW times warm SW and PSW solves with the structured ⊟ on the
+// word store, side by side: strataRecipe and an eqgen interval system of
+// 4,096 unknowns (seed 7, fan-in 3, about 2,200 strata of a few
+// evaluations each), where PSW's per-stratum costs dominate. PSW performs
+// exactly SW's evaluations, so the rows differ only in scheduling. The
+// shape is memoized by a first solve. Run with -benchmem: allocs/op is the
+// per-run cost.
+func BenchmarkPSW(b *testing.B) {
+	l, op, init := lattice.Ints, WarrowOp[int, lattice.Interval](lattice.Ints), eqn.ConstBottom[int, lattice.Interval](lattice.Ints)
+	type run func(*eqn.System[int, lattice.Interval]) (Stats, error)
+	pswRow := func(workers int) run {
+		return func(sys *eqn.System[int, lattice.Interval]) (Stats, error) {
+			_, st, err := PSW(sys, l, op, init, Config{Workers: workers})
+			return st, err
+		}
+	}
+	for _, sc := range []struct {
+		name string
+		cfg  eqgen.Config
+	}{
+		{"strata/N=2048", strataRecipe},
+		{"N=4096", eqgen.Config{Seed: 7, Dom: eqgen.Interval, N: 4096, FanIn: 3}},
+	} {
+		sys := eqgen.New(sc.cfg).Interval
+		for _, row := range []struct {
+			name string
+			run  run
+		}{
+			{"sw", func(sys *eqn.System[int, lattice.Interval]) (Stats, error) {
+				_, st, err := SW(sys, l, op, init, Config{})
+				return st, err
+			}},
+			{"psw/workers=1", pswRow(1)},
+			{"psw/workers=2", pswRow(2)},
+		} {
+			b.Run(sc.name+"/"+row.name, func(b *testing.B) {
+				if _, err := row.run(sys); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				evals := 0
+				for i := 0; i < b.N; i++ {
+					st, err := row.run(sys)
+					if err != nil {
+						b.Fatal(err)
+					}
+					evals += st.Evals
+				}
+				b.ReportMetric(float64(evals)/float64(b.N), "evals/solve")
+			})
+		}
 	}
 }

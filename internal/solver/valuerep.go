@@ -62,8 +62,8 @@ type execCore[X comparable, D any] interface {
 	// shape exposes the memoized dense shape (order, CSR influence rows,
 	// queue translation).
 	shape() *denseShape[X, D]
-	// stepper returns the step function of one run (PSW: one stratum; CPW:
-	// one worker):
+	// stepper returns the step function of one run (PSW and CPW: of one
+	// worker, for the whole run):
 	// step(i, accel) evaluates unknown i under the eval guard, hands the
 	// step's phase to the watchdog, and stores op.Apply(old, rhs) when accel
 	// is set and the right-hand-side value rhs otherwise. It reports the
@@ -334,8 +334,8 @@ func rawPhase[D any](r lattice.Raw[D], old, new []uint64) Phase {
 	return PhaseWiden
 }
 
-// rawEval is the reusable evaluation environment of one raw run (under PSW,
-// of one stratum; under CPW, of one worker), the unboxed twin of denseEval:
+// rawEval is the reusable evaluation environment of one raw run (under PSW
+// and CPW, of one worker), the unboxed twin of denseEval:
 // newv receives the right-hand-side value of the unknown cur points at when
 // thunk runs.
 type rawEval struct {
@@ -346,8 +346,8 @@ type rawEval struct {
 
 // evaluator builds the closure environment of one raw run. Per-evaluator
 // scratch: newv receives the right-hand-side value, ext the encoding of an
-// out-of-system read. One stratum (CPW: one worker) owns one evaluator, so
-// the buffers are never shared across goroutines.
+// out-of-system read. Under PSW and CPW each worker owns one evaluator for
+// the whole run, so the buffers are never shared across goroutines.
 func (rc *rawCore[X, D]) evaluator() *rawEval {
 	stride := rc.stride
 	words := rc.words
