@@ -208,45 +208,3 @@ func sameIntMap(a, b map[int]int) bool {
 	}
 	return true
 }
-
-// TestInduced: the induced subsystem of some positions is the system Define
-// and AttachRaw build from those unknowns — same order, positions,
-// dependence lists (reads of left-out unknowns included), equations, fused
-// twins and shape fingerprint — and a repeated position panics like a
-// duplicate Define.
-func TestInduced(t *testing.T) {
-	sys := chainSys(1)
-	raw := func(func(int) []uint64, []uint64) {}
-	sys.AttachRaw(3, raw)
-	sub := sys.Induced([]int{2, 3})
-	want := NewSystem[int, lattice.Interval]()
-	for _, x := range []int{2, 3} {
-		want.Define(x, sys.Deps(x), sys.RHS(x))
-	}
-	want.AttachRaw(3, raw)
-	if got := sub.Order(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Order = %v, want [2 3]", got)
-	}
-	if !sameIntMap(sub.Index(), want.Index()) {
-		t.Fatalf("Index = %v, want %v", sub.Index(), want.Index())
-	}
-	if d := sub.Deps(2); len(d) != 1 || d[0] != 1 {
-		t.Fatalf("Deps(2) = %v, want [1]", d)
-	}
-	if sub.RawRHSOf(2) != nil || sub.RawRHSOf(3) == nil || sub.RHS(1) != nil {
-		t.Fatal("Induced carried the wrong equations or fused twins")
-	}
-	got := sub.RHS(3)(func(y int) lattice.Interval { return lattice.Singleton(int64(10 * y)) })
-	if !lattice.Ints.Eq(got, lattice.Singleton(20)) {
-		t.Fatalf("RHS(3) evaluates to %s, want [20,20]", lattice.Ints.Format(got))
-	}
-	if sub.ShapeHash() != want.ShapeHash() {
-		t.Fatal("Induced fingerprints differently from the system Define builds")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Induced with a repeated position did not panic")
-		}
-	}()
-	sys.Induced([]int{1, 1})
-}

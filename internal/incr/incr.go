@@ -8,16 +8,16 @@
 // system's memoized decomposition (solver.DecompositionOf(sys).Cone: the
 // transitive readers of the edited unknowns, rounded up to whole strata of
 // the SCC stratification, at a cost proportional to the cone) and re-runs
-// the chosen solver on the induced subsystem.
-// Unknowns outside the cone are pinned at their previous finals: the
-// subsystem's initial assignment answers out-of-cone reads with the stored
-// values, which both value stores (boxed, words) already treat as the
-// fallback for out-of-system unknowns. Inside the cone the solve
-// starts from the original initial assignment, so warrowing — the ∇/Δ phase
-// machinery of ⊟ — re-arms exactly there and nowhere else: an unknown
-// re-entered at its previous (narrowed) final would otherwise have nothing
-// left to widen from, and a non-monotonic edit could strand it above the
-// scratch solution (DESIGN.md §12).
+// the chosen solver on the cone in place. The SRR, SW and PSW engines keep
+// their live assignment in a solver.Live store, by order position, which
+// the initial Solve fills: a cone restarts its members from the original
+// initial assignment, reads every unknown outside it from its stored
+// final, and writes back only the members' new values. Restarting from σ₀
+// re-arms warrowing — the ∇/Δ phase machinery of ⊟ — exactly inside the
+// cone and nowhere else: an unknown re-entered at its previous (narrowed)
+// final would otherwise have nothing left to widen from, and a
+// non-monotonic edit could strand it above the scratch solution
+// (DESIGN.md §12).
 //
 // Exactness contract: for the structured solvers SRR, SW and PSW the merged
 // incremental result is bit-identical to re-running the same solver from
@@ -29,12 +29,13 @@
 // the engine re-solves the full system from scratch: still correct, never
 // silently approximate, with the delta stats reporting zero reuse.
 //
-// Interrupted incremental solves resume: the solver's checkpoint machinery
-// runs unchanged on the induced subsystem, pending edits stay queued until
-// a Resolve completes, and the subsystem is rebuilt deterministically from
-// the system state plus the pending batch, so a checkpoint taken mid-cone
-// fingerprint-matches the rebuilt subsystem in a later call (or process —
-// the wire format is unchanged).
+// Interrupted incremental solves resume: a cone runs the solver's own
+// loop, so it captures checkpoints like any solve — of the subsystem the
+// cone's unknowns induce, whose shape the checkpoint fingerprints. Pending
+// edits stay queued until a Resolve completes, and the cone is recomputed
+// deterministically from the system state plus the pending batch, so a
+// checkpoint taken mid-cone fingerprint-matches the cone of a later call
+// (or process — the wire format is unchanged).
 package incr
 
 import (
@@ -123,6 +124,9 @@ type Engine[X comparable, D any] struct {
 	prev      map[X]D    // live assignment; nil until the first Solve completes
 	version   uint64     // journal cursor: sys edits past this are pending
 	perturbed map[X]bool // pending perturbation seeds
+	// live holds the srr, sw and psw engines' assignment by order position,
+	// equal to prev; nil for rr and w, which re-solve in full.
+	live *solver.Live[X, D]
 }
 
 // Solvers the engine dispatches to.
@@ -135,7 +139,15 @@ func New[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init 
 	if !solverNames[solverName] {
 		return nil, fmt.Errorf("incr: unknown solver %q (want rr, w, srr, sw or psw)", solverName)
 	}
-	return &Engine[X, D]{l: l, sys: sys, init: init, solverName: solverName}, nil
+	e := &Engine[X, D]{l: l, sys: sys, init: init, solverName: solverName}
+	if solverName != "rr" && solverName != "w" {
+		live, err := solver.NewLive(sys, l, solver.WarrowOp[X](l), e.Init(), solverName)
+		if err != nil {
+			return nil, err
+		}
+		e.live = live
+	}
+	return e, nil
 }
 
 // SolverName reports the solver the engine dispatches to.
@@ -146,29 +158,46 @@ func (e *Engine[X, D]) SolverName() string { return e.solverName }
 // solve must use this function to be comparable with the engine's results.
 func (e *Engine[X, D]) Init() func(X) D {
 	return func(x X) D {
-		if v, ok := e.overrides[x]; ok {
-			return v
+		if len(e.overrides) > 0 {
+			if v, ok := e.overrides[x]; ok {
+				return v
+			}
 		}
 		return e.init(x)
 	}
 }
 
-// run dispatches one solve. The structured operator form is used so the
-// unboxed core engages whenever the domain supports it.
-func (e *Engine[X, D]) run(sys *eqn.System[X, D], init func(X) D, cfg solver.Config) (map[X]D, solver.Stats, error) {
-	op := solver.WarrowOp[X](e.l)
-	switch e.solverName {
-	case "rr":
-		return solver.RR(sys, e.l, op, init, cfg)
-	case "w":
-		return solver.W(sys, e.l, op, init, cfg)
-	case "srr":
-		return solver.SRR(sys, e.l, op, init, cfg)
-	case "sw":
-		return solver.SW(sys, e.l, op, init, cfg)
-	default:
-		return solver.PSW(sys, e.l, op, init, cfg)
+// full solves the whole system from σ₀ (or cfg.Resume) and, on success,
+// merges the solution into the live assignment in place. The structured
+// operator form is used so the unboxed core engages whenever the domain
+// supports it.
+func (e *Engine[X, D]) full(cfg solver.Config) (solver.Stats, error) {
+	if e.live != nil {
+		vals := e.prev
+		if vals == nil {
+			vals = make(map[X]D, e.sys.Len())
+		}
+		st, err := e.live.Solve(cfg, vals)
+		if err == nil {
+			e.prev = vals
+		}
+		return st, err
 	}
+	op := solver.WarrowOp[X](e.l)
+	solve := solver.RR[X, D]
+	if e.solverName == "w" {
+		solve = solver.W[X, D]
+	}
+	sigma, st, err := solve(e.sys, e.l, op, e.Init(), cfg)
+	if err != nil {
+		return st, err
+	}
+	if e.prev == nil {
+		e.prev = sigma
+	} else {
+		maps.Copy(e.prev, sigma)
+	}
+	return st, nil
 }
 
 // Solve runs the initial from-scratch solve and arms the engine: subsequent
@@ -177,11 +206,11 @@ func (e *Engine[X, D]) run(sys *eqn.System[X, D], init func(X) D, cfg solver.Con
 // abort the engine state does not advance; re-running Solve — optionally
 // resuming the abort's checkpoint via cfg.Resume — continues the work.
 func (e *Engine[X, D]) Solve(cfg solver.Config) (*Result[X, D], error) {
-	sigma, st, err := e.run(e.sys, e.Init(), cfg)
+	st, err := e.full(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.absorb(sigma)
+	e.consume()
 	return &Result[X, D]{
 		Values:        e.prev,
 		Stats:         st,
@@ -190,17 +219,8 @@ func (e *Engine[X, D]) Solve(cfg solver.Config) (*Result[X, D], error) {
 	}, nil
 }
 
-// absorb merges a completed solve's values into the live assignment, in
-// place, and consumes the pending batch. Only the solved unknowns are
-// written, so merging a cone re-solve costs O(cone).
-func (e *Engine[X, D]) absorb(sigma map[X]D) {
-	if e.prev == nil {
-		e.prev = sigma
-	} else {
-		for x, v := range sigma {
-			e.prev[x] = v
-		}
-	}
+// consume marks the pending batch absorbed once a solve has merged it.
+func (e *Engine[X, D]) consume() {
 	e.version = e.sys.Version()
 	e.perturbed = nil
 }
@@ -235,28 +255,22 @@ func (e *Engine[X, D]) Apply(edits ...Edit[X, D]) {
 }
 
 // pending collects the dirty seeds of the staged batch in index space: the
-// journal suffix the engine has not absorbed plus the perturbed unknowns.
-// Perturbing an undefined unknown (a parameter) seeds its readers instead —
-// the parameter itself has no equation to re-solve, but everything that
-// falls back to σ₀ for it sees the new value. The readers come from the
-// memoized influence sets, so the cost is proportional to the batch.
+// journal suffix the engine has not absorbed plus the perturbed unknowns,
+// possibly with repeats, which Cone skips. Perturbing an undefined unknown
+// (a parameter) seeds its readers instead — the parameter itself has no
+// equation to re-solve, but everything that falls back to σ₀ for it sees
+// the new value. The readers come from the memoized influence sets, so the
+// cost is proportional to the batch.
 func (e *Engine[X, D]) pending() []int {
 	idx := e.sys.Index()
 	var seeds []int
-	seen := make(map[int]bool)
-	add := func(i int) {
-		if !seen[i] {
-			seen[i] = true
-			seeds = append(seeds, i)
-		}
-	}
 	addUnknown := func(x X) {
 		if i, ok := idx[x]; ok {
-			add(i)
+			seeds = append(seeds, i)
 			return
 		}
 		for _, y := range e.sys.Infl()[x] {
-			add(idx[y])
+			seeds = append(seeds, idx[y])
 		}
 	}
 	for _, x := range e.sys.EditsSince(e.version) {
@@ -274,7 +288,7 @@ func (e *Engine[X, D]) pending() []int {
 // returns, and the batch is consumed); on an abort nothing is merged, the
 // batch stays pending, and a later Resolve — with a larger budget, or
 // resuming the abort's checkpoint via cfg.Resume — continues.
-// The subsystem a checkpoint was taken on is rebuilt deterministically from
+// The cone a checkpoint was taken on is recomputed deterministically from
 // the system and the pending batch, so the fingerprint matches.
 func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 	if e.prev == nil {
@@ -289,15 +303,15 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 		return &Result[X, D]{Values: e.prev, ReusedUnknowns: n}, nil
 	}
 
-	if e.solverName == "rr" || e.solverName == "w" {
+	if e.live == nil {
 		// The generic solvers read cross-stratum intermediates: no cone
 		// restriction preserves bit-identity (DESIGN.md §12), so the honest
 		// incremental policy is a full re-solve of the edited system.
-		sigma, st, err := e.run(e.sys, e.Init(), cfg)
+		st, err := e.full(cfg)
 		if err != nil {
 			return nil, err
 		}
-		e.absorb(sigma)
+		e.consume()
 		return &Result[X, D]{
 			Values:        e.prev,
 			Stats:         st,
@@ -307,27 +321,11 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 	}
 
 	members, coneStrata := solver.DecompositionOf(e.sys).Cone(seeds)
-	sub := e.sys.Induced(members)
-	inCone := sub.Index()
-	effInit := e.Init()
-	prev := e.prev
-	// Inside the cone the solve restarts from σ₀ — re-arming ⊟'s widening
-	// phase — while reads that escape the subsystem are pinned at the
-	// previous finals (or at σ₀ for unknowns no solve has ever defined).
-	init := func(y X) D {
-		if _, ok := inCone[y]; ok {
-			return effInit(y)
-		}
-		if v, ok := prev[y]; ok {
-			return v
-		}
-		return effInit(y)
-	}
-	sigma, st, err := e.run(sub, init, cfg)
+	st, err := e.live.SolveCone(members, cfg, e.prev)
 	if err != nil {
 		return nil, err
 	}
-	e.absorb(sigma)
+	e.consume()
 	return &Result[X, D]{
 		Values:         e.prev,
 		Stats:          st,

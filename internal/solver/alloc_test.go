@@ -27,7 +27,7 @@ func rawStepper[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l latt
 	if rc, ok := vc.(*rawCore[X, D]); !ok || rc.shared != shared {
 		t.Fatalf("buildCore returned %T, want a *rawCore with shared=%v (raw gate regressed)", vc, shared)
 	}
-	return vc.stepper(false), len(vc.shape().order)
+	return vc.stepper(false), vc.scope().n
 }
 
 // passAllocs measures steady-state allocations per evaluation: a few warm-up

@@ -126,11 +126,11 @@ func attachCheckpoint(err error, cp any) error {
 // resumeCheckpoint validates Config.Resume for a solver entry point: nil
 // Resume means a fresh run; anything else must be a *Checkpoint with the
 // solver's element types, the solver's name, and (for the global solvers,
-// which pass their system) the target system's shape. The fingerprint is
-// computed here only when there is a checkpoint to check, so a fresh solve
-// hashes its system only if it captures a checkpoint. The local solvers,
-// whose systems are functions, pass a nil system.
-func resumeCheckpoint[X comparable, D any](cfg Config, solverName string, sys *eqn.System[X, D]) (*Checkpoint[X, D], error) {
+// which pass their scope) the shape of the system the scope solves. The
+// fingerprint is computed here only when there is a checkpoint to check,
+// so a fresh solve hashes its system only if it captures a checkpoint. The
+// local solvers, whose systems are functions, pass nil.
+func resumeCheckpoint[X comparable, D any](cfg Config, solverName string, sc *scope[X, D]) (*Checkpoint[X, D], error) {
 	if cfg.Resume == nil {
 		return nil, nil
 	}
@@ -141,8 +141,8 @@ func resumeCheckpoint[X comparable, D any](cfg Config, solverName string, sys *e
 	if cp.Solver != solverName {
 		return nil, fmt.Errorf("%w: checkpoint was captured by %q, resumed on %q", ErrBadCheckpoint, cp.Solver, solverName)
 	}
-	if sys != nil && cp.SysFP != 0 {
-		if fp := Fingerprint(sys); fp != 0 && cp.SysFP != fp {
+	if sc != nil && cp.SysFP != 0 {
+		if fp := sc.fingerprint(); fp != 0 && cp.SysFP != fp {
 			return nil, fmt.Errorf("%w: system fingerprint %#x does not match checkpoint %#x", ErrBadCheckpoint, fp, cp.SysFP)
 		}
 	}
@@ -181,41 +181,49 @@ func (cp *Checkpoint[X, D]) overlayInit(init func(X) D) func(X) D {
 	}
 }
 
+// newCheckpoint starts a compiled-solver checkpoint of the scope: name,
+// fingerprint, counters and room for one Sigma row per unknown.
+func (sc *scope[X, D]) newCheckpoint(name string, st Stats) *Checkpoint[X, D] {
+	cp := &Checkpoint[X, D]{Solver: name, SysFP: sc.fingerprint()}
+	cp.Evals, cp.Updates, cp.Rounds, cp.MaxQueue, cp.Retries =
+		st.Evals, st.Updates, st.Rounds, st.MaxQueue, st.Retries
+	cp.Sigma = make([]CheckpointEntry[X, D], sc.n)
+	return cp
+}
+
 // snapshot captures the shared part of a compiled-solver checkpoint —
-// name, fingerprint, counters and the full assignment in linear order —
+// name, fingerprint, counters and the scope's assignment in linear order —
 // without materializing a sigma map: the Sigma rows are read straight off
 // the flat assignment. The word store's snapshot produces byte-identical
 // wire output on the same state, which is what lets checkpoints captured on
 // one store resume on the other.
 func (c *compiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
-	cp := &Checkpoint[X, D]{Solver: name, SysFP: Fingerprint(c.sys)}
-	cp.Evals, cp.Updates, cp.Rounds, cp.MaxQueue, cp.Retries =
-		st.Evals, st.Updates, st.Rounds, st.MaxQueue, st.Retries
-	cp.Sigma = make([]CheckpointEntry[X, D], len(c.order))
-	for i, x := range c.order {
-		cp.Sigma[i] = CheckpointEntry[X, D]{X: x, V: c.at(i)}
+	cp := c.sc.newCheckpoint(name, st)
+	for k := range cp.Sigma {
+		i := c.sc.parent(k)
+		cp.Sigma[k] = CheckpointEntry[X, D]{X: c.order[i], V: c.at(i)}
 	}
 	return cp
 }
 
 // restore applies a checkpointed assignment to the boxed store. Entries for
-// unknowns outside the system are ignored; a fingerprint-matched checkpoint
+// unknowns outside the scope are ignored; a fingerprint-matched checkpoint
 // carries none.
 func (c *compiled[X, D]) restore(cp *Checkpoint[X, D]) error {
 	for _, e := range cp.Sigma {
-		if j, ok := c.idx[e.X]; ok {
-			c.set(j, e.V)
+		if k, ok := c.sc.lookup(e.X); ok {
+			c.set(c.sc.parent(k), e.V)
 		}
 	}
 	return nil
 }
 
-// queueIndices maps a checkpoint's X-space queue to order positions,
-// rejecting unknowns the system does not define.
-func (sh *denseShape[X, D]) queueIndices(queue []X) ([]int, error) {
+// queueIndices maps a checkpoint's X-space queue to local positions,
+// rejecting unknowns the scope does not hold.
+func (sc *scope[X, D]) queueIndices(queue []X) ([]int, error) {
 	out := make([]int, len(queue))
 	for k, x := range queue {
-		j, ok := sh.idx[x]
+		j, ok := sc.lookup(x)
 		if !ok {
 			return nil, fmt.Errorf("%w: queued unknown %v is not in the system", ErrBadCheckpoint, x)
 		}
@@ -224,11 +232,11 @@ func (sh *denseShape[X, D]) queueIndices(queue []X) ([]int, error) {
 	return out, nil
 }
 
-// queueUnknowns maps order positions back to X-space for a checkpoint.
-func (sh *denseShape[X, D]) queueUnknowns(idxs []int) []X {
+// queueUnknowns maps local positions back to X-space for a checkpoint.
+func (sc *scope[X, D]) queueUnknowns(idxs []int) []X {
 	out := make([]X, len(idxs))
 	for k, i := range idxs {
-		out[k] = sh.order[i]
+		out[k] = sc.sh.order[sc.parent(i)]
 	}
 	return out
 }

@@ -23,7 +23,9 @@ import (
 // X-space, so checkpoints cross freely between the value stores.
 type compiled[X comparable, D any] struct {
 	*denseShape[X, D]
-	sys  *eqn.System[X, D]
+	// sc is the index space the run iterates over; snapshot and restore
+	// read and write its unknowns only.
+	sc   scope[X, D]
 	init func(X) D
 	// vals is the assignment, indexed by order position.
 	vals []D
@@ -63,12 +65,17 @@ type denseShape[X comparable, D any] struct {
 // denseShapeKey is the ShapeMemo slot the compiled shape lives under.
 const denseShapeKey = "solver.denseShape"
 
+// shapeOf returns the system's memoized dense shape.
+func shapeOf[X comparable, D any](sys *eqn.System[X, D]) *denseShape[X, D] {
+	return sys.ShapeMemo(denseShapeKey, func() any { return buildDenseShape(sys) }).(*denseShape[X, D])
+}
+
 // compile builds the dense representation and the initial assignment,
 // shared or not. The shape part is memoized on the System; only the
 // assignment is fresh per solve.
 func compile[X comparable, D any](sys *eqn.System[X, D], init func(X) D, shared bool) *compiled[X, D] {
-	sh := sys.ShapeMemo(denseShapeKey, func() any { return buildDenseShape(sys) }).(*denseShape[X, D])
-	c := &compiled[X, D]{denseShape: sh, sys: sys, init: init}
+	sh := shapeOf(sys)
+	c := &compiled[X, D]{denseShape: sh, sc: wholeScope(sys, sh), init: init}
 	if shared {
 		c.ptrs = make([]atomic.Pointer[D], len(sh.order))
 	} else if v, ok := sh.valsPool.Get().([]D); ok && len(v) == len(sh.order) {
@@ -129,9 +136,8 @@ func buildDenseShape[X comparable, D any](sys *eqn.System[X, D]) *denseShape[X, 
 		inflDat:  c.Dat[:c.Off[n]],
 		identInt: eqn.IsIdentInt(order),
 	}
-	for i, x := range order {
-		sh.rhs[i] = sys.RHS(x)
-		sh.rawRHS[i] = sys.RawRHSOf(x)
+	for i := range order {
+		sh.rhs[i], sh.rawRHS[i] = sys.EquationAt(i)
 	}
 	return sh
 }
@@ -150,6 +156,103 @@ func (sh *denseShape[X, D]) PatchRHS(i int, rhs eqn.RHS[X, D], raw eqn.RawRHS[X]
 // the exact order eqn.Infl lists them.
 func (sh *denseShape[X, D]) infl(i int) []int32 {
 	return sh.inflDat[sh.inflOff[i]:sh.inflOff[i+1]]
+}
+
+// scope is the index space one compiled run iterates over. For an ordinary
+// solve it is the whole system: local positions are order positions and
+// the rows are the shape's. For a cone of the incremental engine (see
+// Live), local position k sits over the parent position pos[k], ascending,
+// and row k is the parent's row of pos[k] restricted to the cone and
+// renumbered: exactly the influence row of the subsystem eqn would build
+// from the cone's unknowns. The loops therefore schedule a cone — queue,
+// cursor, strata and checkpoint indices alike — as they would schedule that
+// subsystem, while the store keeps every unknown at its parent position.
+type scope[X comparable, D any] struct {
+	sh  *denseShape[X, D]
+	sys *eqn.System[X, D]
+	// n is the number of local positions; row i is dat[off[i]:off[i+1]].
+	n        int
+	off, dat []int32
+	// pos maps local positions to parent positions; nil for the whole
+	// system, where the two coincide. local is its sparse inverse:
+	// parent position p is local position k exactly when pos[k] == p and
+	// local[p] == k, so entries left over from earlier cones need no
+	// clearing.
+	pos   []int
+	local []int32
+}
+
+// wholeScope is the scope of an ordinary solve of sys.
+func wholeScope[X comparable, D any](sys *eqn.System[X, D], sh *denseShape[X, D]) scope[X, D] {
+	return scope[X, D]{sh: sh, sys: sys, n: len(sh.order), off: sh.inflOff, dat: sh.inflDat}
+}
+
+// infl returns the readers of local position i, itself first, in local
+// positions.
+func (sc *scope[X, D]) infl(i int) []int32 { return sc.dat[sc.off[i]:sc.off[i+1]] }
+
+// parent returns the order position of local position i.
+func (sc *scope[X, D]) parent(i int) int {
+	if sc.pos == nil {
+		return i
+	}
+	return sc.pos[i]
+}
+
+// localOf returns the local position of parent position p, if the scope
+// holds it.
+func (sc *scope[X, D]) localOf(p int) (int, bool) {
+	if sc.pos == nil {
+		return p, true
+	}
+	k := sc.local[p]
+	return int(k), uint(k) < uint(len(sc.pos)) && sc.pos[k] == p
+}
+
+// lookup returns the local position of unknown x, if the scope holds it.
+func (sc *scope[X, D]) lookup(x X) (int, bool) {
+	p, ok := sc.sh.idx[x]
+	if !ok {
+		return 0, false
+	}
+	return sc.localOf(p)
+}
+
+// fingerprint is the Fingerprint of the system the scope solves: the
+// shape hash of the whole system, or of the subsystem of the cone's
+// unknowns, computed only when a checkpoint needs it.
+func (sc *scope[X, D]) fingerprint() uint64 {
+	if sc.pos == nil {
+		return sc.sys.ShapeHash()
+	}
+	return sc.sys.ShapeHashOf(sc.pos)
+}
+
+// decomposition returns the decomposition of the scope's dependence graph:
+// the system's memoized one, or, for a cone, one built from the cone's
+// dependences on one another — the subsystem's, stratum for stratum and
+// component for component.
+func (sc *scope[X, D]) decomposition() *Decomposition {
+	if sc.pos == nil {
+		return DecompositionOf(sc.sys)
+	}
+	adj := sc.sys.DepGraph()
+	edges := 0
+	for _, p := range sc.pos {
+		edges += len(adj[p])
+	}
+	rows := make([][]int, sc.n)
+	dat := make([]int, 0, edges)
+	for k, p := range sc.pos {
+		lo := len(dat)
+		for _, j := range adj[p] {
+			if l, ok := sc.localOf(j); ok {
+				dat = append(dat, l)
+			}
+		}
+		rows[k] = dat[lo:len(dat):len(dat)]
+	}
+	return newDecomposition(func() [][]int { return rows }, sc.off, sc.dat)
 }
 
 // sigmaMap renders the dense assignment back into the map the public API

@@ -85,9 +85,9 @@ func cpw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	start := time.Now()
 	vc, wd := buildCore(sys, l, op, init, cfg, true)
 	defer vc.release()
-	sh := vc.shape()
-	n := len(sh.order)
-	dec := DecompositionOf(sys)
+	sc := vc.scope()
+	n := sc.n
+	dec := sc.decomposition()
 	strata := dec.strata
 
 	workers := cfg.workers()
@@ -95,7 +95,7 @@ func cpw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	r := &cpwRun[X, D]{
 		poolRun: poolRun[X, D]{
 			vc:     vc,
-			sh:     sh,
+			sc:     sc,
 			strata: strata,
 			budget: int64(cfg.budget()),
 			wd:     wd,
@@ -107,7 +107,7 @@ func cpw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 
 	var st Stats
 	st.Unknowns = n
-	if err := r.resume(cfg, "cpw", sys, &st); err != nil {
+	if err := r.resume(cfg, "cpw", &st); err != nil {
 		return map[X]D{}, st, err
 	}
 
@@ -281,7 +281,7 @@ func (r *cpwRun[X, D]) work(w int, s stratum, sq *shardQueue) {
 		local++
 		if changed {
 			r.updates.Add(1)
-			for _, j := range r.sh.infl(i) {
+			for _, j := range r.sc.infl(i) {
 				if int(j) >= s.lo && int(j) <= s.hi && int(j) != i {
 					r.markDirty(int(j), sq)
 				}

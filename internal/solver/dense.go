@@ -11,13 +11,13 @@ import (
 func rrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
 	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
-	sh := vc.shape()
-	n := len(sh.order)
+	sc := vc.scope()
+	n := sc.n
 	ck := newCkptSink(cfg)
 	var st Stats
 	st.Unknowns = n
 	start, dirty := 0, false
-	if cp, err := resumeCheckpoint(cfg, "rr", sys); err != nil {
+	if cp, err := resumeCheckpoint(cfg, "rr", sc); err != nil {
 		return vc.sigmaMap(), st, err
 	} else if cp != nil {
 		if err := vc.restore(cp); err != nil {
@@ -81,8 +81,8 @@ func rrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
 	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
-	sh := vc.shape()
-	n := len(sh.order)
+	sc := vc.scope()
+	n := sc.n
 	ck := newCkptSink(cfg)
 	var st Stats
 	st.Unknowns = n
@@ -95,7 +95,7 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 			stack = append(stack, i)
 		}
 	}
-	if cp, err := resumeCheckpoint(cfg, "w", sys); err != nil {
+	if cp, err := resumeCheckpoint(cfg, "w", sc); err != nil {
 		return vc.sigmaMap(), st, err
 	} else if cp != nil {
 		if err := vc.restore(cp); err != nil {
@@ -104,7 +104,7 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 		cp.restoreStats(&st)
 		// cp.Queue holds the stack bottom-to-top; pushing in order restores
 		// the exact LIFO state.
-		queued, qerr := sh.queueIndices(cp.Queue)
+		queued, qerr := sc.queueIndices(cp.Queue)
 		if qerr != nil {
 			return vc.sigmaMap(), st, qerr
 		}
@@ -125,7 +125,7 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 		for k, i := range stack {
 			idxs[k] = int(i)
 		}
-		cp.Queue = sh.queueUnknowns(idxs)
+		cp.Queue = sc.queueUnknowns(idxs)
 		return cp
 	}
 	step := vc.stepper(false)
@@ -150,7 +150,7 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 		st.Evals++
 		if changed {
 			st.Updates++
-			readers := sh.infl(int(i))
+			readers := sc.infl(int(i))
 			for k := len(readers) - 1; k >= 0; k-- {
 				push(readers[k])
 			}
@@ -166,13 +166,19 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 func srrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
 	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
-	sh := vc.shape()
-	n := len(sh.order)
+	return srrLoop(vc, wd, cfg)
+}
+
+// srrLoop is SRR's loop over a built core, shared by srrDense and the
+// incremental engine's live store (Live).
+func srrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config) (map[X]D, Stats, error) {
+	sc := vc.scope()
+	n := sc.n
 	ck := newCkptSink(cfg)
 	var st Stats
 	st.Unknowns = n
 	resumeLevel := 0
-	if cp, err := resumeCheckpoint(cfg, "srr", sys); err != nil {
+	if cp, err := resumeCheckpoint(cfg, "srr", sc); err != nil {
 		return vc.sigmaMap(), st, err
 	} else if cp != nil {
 		if err := vc.restore(cp); err != nil {
@@ -235,21 +241,27 @@ func srrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], 
 func swDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
 	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
-	sh := vc.shape()
-	n := len(sh.order)
+	return swLoop(vc, wd, cfg)
+}
+
+// swLoop is SW's loop over a built core, shared by swDense and the
+// incremental engine's live store (Live).
+func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config) (map[X]D, Stats, error) {
+	sc := vc.scope()
+	n := sc.n
 	ck := newCkptSink(cfg)
 	var st Stats
 	st.Unknowns = n
 
 	q := newBucketQueue(0, n-1)
-	if cp, err := resumeCheckpoint(cfg, "sw", sys); err != nil {
+	if cp, err := resumeCheckpoint(cfg, "sw", sc); err != nil {
 		return vc.sigmaMap(), st, err
 	} else if cp != nil {
 		if err := vc.restore(cp); err != nil {
 			return vc.sigmaMap(), st, err
 		}
 		cp.restoreStats(&st)
-		queued, qerr := sh.queueIndices(cp.Queue)
+		queued, qerr := sc.queueIndices(cp.Queue)
 		if qerr != nil {
 			return vc.sigmaMap(), st, qerr
 		}
@@ -265,7 +277,7 @@ func swDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 	capture := func() *Checkpoint[X, D] {
 		cp := vc.snapshot("sw", st)
 		// indices() is ascending: the queue is stored sorted by position.
-		cp.Queue = sh.queueUnknowns(q.indices())
+		cp.Queue = sc.queueUnknowns(q.indices())
 		return cp
 	}
 	step := vc.stepper(false)
@@ -289,7 +301,7 @@ func swDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 		if changed {
 			st.Updates++
 			q.push(i)
-			for _, j := range sh.infl(i) {
+			for _, j := range sc.infl(i) {
 				q.push(int(j))
 			}
 			if q.len() > st.MaxQueue {

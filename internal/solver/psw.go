@@ -80,14 +80,21 @@ func psw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 	start := time.Now()
 	vc, wd := buildCore(sys, l, op, init, cfg, false)
 	defer vc.release()
-	sh := vc.shape()
-	n := len(sh.order)
-	dec := DecompositionOf(sys)
+	return pswLoop(vc, wd, cfg, start)
+}
+
+// pswLoop is PSW's run over a built core, shared by psw and the
+// incremental engine's live store (Live); start is when the run began, for
+// Stats.WallNs.
+func pswLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (map[X]D, Stats, error) {
+	sc := vc.scope()
+	n := sc.n
+	dec := sc.decomposition()
 	strata := dec.strata
 
 	r := &pswRun[X, D]{poolRun: poolRun[X, D]{
 		vc:     vc,
-		sh:     sh,
+		sc:     sc,
 		strata: strata,
 		budget: int64(cfg.budget()),
 		wd:     wd,
@@ -95,7 +102,7 @@ func psw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 
 	var st Stats
 	st.Unknowns = n
-	if err := r.resume(cfg, "psw", sys, &st); err != nil {
+	if err := r.resume(cfg, "psw", &st); err != nil {
 		return map[X]D{}, st, err
 	}
 
@@ -127,7 +134,7 @@ func psw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 // and the first abort error.
 type poolRun[X comparable, D any] struct {
 	vc     execCore[X, D]
-	sh     *denseShape[X, D]
+	sc     *scope[X, D]
 	strata []stratum
 
 	// done[si] reports that stratum si has stabilized, in this run or in
@@ -175,9 +182,9 @@ type stratumQueue struct {
 // checkpoint cfg.Resume holds, if any: it restores the assignment, the
 // counters, st.Rounds, and which strata stabilized or restart from a
 // queue.
-func (r *poolRun[X, D]) resume(cfg Config, name string, sys *eqn.System[X, D], st *Stats) error {
+func (r *poolRun[X, D]) resume(cfg Config, name string, st *Stats) error {
 	r.done = make([]bool, len(r.strata))
-	cp, err := resumeCheckpoint(cfg, name, sys)
+	cp, err := resumeCheckpoint(cfg, name, r.sc)
 	if err != nil || cp == nil {
 		return err
 	}
@@ -339,7 +346,7 @@ type pswWorker struct {
 }
 
 func (r *pswRun[X, D]) newWorker() *pswWorker {
-	return &pswWorker{step: r.vc.stepper(false), q: *newBucketQueue(0, len(r.sh.order)-1)}
+	return &pswWorker{step: r.vc.stepper(false), q: *newBucketQueue(0, r.sc.n-1)}
 }
 
 // stop adds a worker's counts to the run's.
@@ -519,7 +526,7 @@ func (r *pswRun[X, D]) runStratum(w *pswWorker, si int) bool {
 		if changed {
 			w.updates++
 			q.push(i)
-			for _, j := range r.sh.infl(i) {
+			for _, j := range r.sc.infl(i) {
 				if int(j) >= s.lo && int(j) <= s.hi {
 					q.push(int(j))
 				}

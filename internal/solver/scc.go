@@ -117,7 +117,9 @@ type stratum struct{ lo, hi int }
 // stratify partitions the index line 0..n-1 into the minimal contiguous
 // intervals such that no dependence crosses a boundary forwards: for every
 // edge i → j, either j < lo(i)'s stratum start (a backward read of an
-// earlier stratum) or j lies in the same stratum as i.
+// earlier stratum) or j lies in the same stratum as i. The graph is given
+// by its influence rows (eqn.InflCSR, eqn.InflOf): row j, at
+// dat[off[j]:off[j+1]], lists j itself, then the unknowns that read j.
 //
 // Every SCC ends up inside a single stratum (a cycle over indices induces a
 // chain of forward edges covering its whole index span), so strata are
@@ -126,17 +128,21 @@ type stratum struct{ lo, hi int }
 // one SCC; for arbitrary definition orders, forward cross-SCC reads coarsen
 // strata until sequential-equivalence holds (see psw.go for why this makes
 // PSW bit-identical to SW).
-func stratify(adj [][]int) []stratum {
-	n := len(adj)
+func stratify(off, dat []int32) []stratum {
+	n := len(off) - 1
+	// reach[i] is the furthest unknown i reads, or i itself: every row
+	// lists its own unknown.
+	reach := make([]int32, n)
+	for j := 0; j < n; j++ {
+		for _, i := range dat[off[j]:off[j+1]] {
+			reach[i] = max(reach[i], int32(j))
+		}
+	}
 	var out []stratum
 	for start := 0; start < n; {
 		end := start
 		for i := start; i <= end; i++ {
-			for _, j := range adj[i] {
-				if j > end {
-					end = j
-				}
-			}
+			end = max(end, int(reach[i]))
 		}
 		out = append(out, stratum{start, end})
 		start = end + 1

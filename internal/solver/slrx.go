@@ -336,8 +336,8 @@ func slrxRun[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config, name string, mode restartMode) (map[X]D, Stats, error) {
 	core, wd := buildCore(sys, l, op, init, cfg, false)
 	defer core.release()
-	sh := core.shape()
-	n := len(sh.order)
+	sc := core.scope()
+	n := sc.n
 	w := wpointsOf(sys)
 	ck := newCkptSink(cfg)
 	var st Stats
@@ -355,14 +355,14 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 			dc++
 		}
 	}
-	if cp, err := resumeCheckpoint(cfg, name, sys); err != nil {
+	if cp, err := resumeCheckpoint(cfg, name, sc); err != nil {
 		return core.sigmaMap(), st, err
 	} else if cp != nil {
 		if err := core.restore(cp); err != nil {
 			return core.sigmaMap(), st, err
 		}
 		cp.restoreStats(&st)
-		queued, qerr := sh.queueIndices(cp.Queue)
+		queued, qerr := sc.queueIndices(cp.Queue)
 		if qerr != nil {
 			return core.sigmaMap(), st, qerr
 		}
@@ -386,7 +386,7 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 				idxs = append(idxs, int(ip))
 			}
 		}
-		cp.Queue = sh.queueUnknowns(idxs)
+		cp.Queue = sc.queueUnknowns(idxs)
 		return cp
 	}
 	// Only the restart cascade reads the step's phase.
@@ -457,7 +457,7 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 			continue
 		}
 		st.Updates++
-		for _, j := range sh.infl(i) {
+		for _, j := range sc.infl(i) {
 			mark(int(j))
 		}
 		if mode != restartNone && accel && ph == PhaseNarrow && !triggered.has(i) {
@@ -468,14 +468,14 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 			// oscillation and trip MaxFlips on perfectly convergent runs.
 			triggered.set(i)
 			if wd != nil {
-				wd.observe(sh.order[i], PhaseRestart)
+				wd.observe(sc.sh.order[i], PhaseRestart)
 			}
 			pi := w.pos[i]
 			compEnd := int32(n)
 			if mode == restartSCC {
 				compEnd = w.comps[w.startComp[pi]].end
 			}
-			work = append(work[:0], sh.infl(i)...)
+			work = append(work[:0], sc.infl(i)...)
 			for len(work) > 0 {
 				j := int(work[len(work)-1])
 				work = work[:len(work)-1]
@@ -493,7 +493,7 @@ func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D],
 					if reset(j) {
 						st.Restarts++
 					}
-					work = append(work, sh.infl(j)...)
+					work = append(work, sc.infl(j)...)
 				}
 			}
 			clear(seen)
