@@ -41,7 +41,8 @@ serve-smoke:
 
 # Native fuzzing of the differential harness, the certifier, the chaos
 # property, the wire and checkpoint decoders, and the analysis environments
-# against their map oracle (seed corpora under internal/*/testdata/fuzz).
+# and powerset sets against their map oracles (seed corpora under
+# internal/*/testdata/fuzz).
 # Each target runs for FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:
@@ -52,6 +53,7 @@ fuzz:
 	go test ./internal/serve/proto -run '^$$' -fuzz '^FuzzProto$$' -fuzztime $(FUZZTIME)
 	go test ./internal/ckptcodec -run '^$$' -fuzz '^FuzzCkptDecode$$' -fuzztime $(FUZZTIME)
 	go test ./internal/analysis -run '^$$' -fuzz '^FuzzEnvOps$$' -fuzztime $(FUZZTIME)
+	go test ./internal/lattice -run '^$$' -fuzz '^FuzzSetOps$$' -fuzztime $(FUZZTIME)
 
 # Race-check just the solver package (fast inner loop while touching PSW).
 race-solver:
@@ -112,7 +114,8 @@ incr-smoke:
 # two workers (the per-run cost on many small strata), of cold solves,
 # where every operation compiles a fresh system (the build layer), and of
 # incremental re-solves: a leaf edit and a Mutate batch with its undo (the
-# write path), and of the paper's own path: three Fig. 7 kernels under ⊟
+# write path), of eqgen.New per domain at N = 2048 (the system build a gen
+# request pays), and of the paper's own path: three Fig. 7 kernels under ⊟
 # and two-phase (SLR⁺ and TwoPhaseSidesKeyed) and the four Table 1
 # configurations of 470.lbm. Keeps the perf claims continuously exercised
 # without regenerating the committed BENCH_*.json artifacts.
@@ -120,6 +123,7 @@ bench-smoke:
 	go run ./cmd/bench -unboxed -smoke
 	go test ./internal/solver -run '^$$' -bench 'BenchmarkRR|BenchmarkSW|BenchmarkSLRThunk|BenchmarkColdSolve|BenchmarkCPW|BenchmarkPSW' -benchmem -benchtime 50x
 	go test ./internal/incr -run '^$$' -bench 'BenchmarkResolveLeaf|BenchmarkResolveMutate' -benchmem -benchtime 50x
+	go test ./internal/eqgen -run '^$$' -bench 'BenchmarkNew' -benchmem -benchtime 50x
 	go test -run '^$$' -bench 'BenchmarkFig7/(bsort|select|ud)/(warrow|twophase)$$|BenchmarkTable1/470.lbm/' -benchmem -benchtime 20x .
 
 .PHONY: tier1 tier2 chaos-smoke serve-smoke cpw-smoke fuzz race-solver bench-psw bench-mega bench-unboxed bench-smoke bench-incr incr-smoke bench-slr slr-smoke

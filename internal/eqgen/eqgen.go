@@ -511,6 +511,14 @@ func PowersetL() *lattice.SetLattice[int] {
 	return lattice.NewSetLattice(u...)
 }
 
+// powersetL is PowersetL's lattice, shared read-only by powersetOf.
+var powersetL = PowersetL()
+
+// powersetOf returns the subset of {0, …, 15} whose members are the set
+// bits of the mask, in one allocation: PowersetL's universe ascends, so its
+// raw decoding emits the elements in set order.
+func powersetOf(mask uint64) lattice.Set[int] { return powersetL.RawDecode([]uint64{mask}) }
+
 // PowersetSystem interprets the shape over the powerset of {0, …, 15}.
 // Monotone terms are unions of (rotated) dependencies; bounds intersect
 // with a constant mask; a non-monotonic flip removes an element once the
@@ -533,25 +541,17 @@ func PowersetSystem(s *Shape) *eqn.System[int, lattice.Set[int]] {
 func PowersetRHS(sp Spec) (eqn.RHS[int, lattice.Set[int]], eqn.RawRHS[int]) {
 	ds := sp.Deps
 	mat := sp.Mat
-	base := lattice.NewSet(int(mat%powersetUniverse), int(mat>>4%powersetUniverse))
 	rot := int(mat >> 8 % 3)
-	maskBits := mat>>11%0xFFFF | uint64(mat%powersetUniverse)<<1 | 1
-	var maskElems []int
-	for e := 0; e < powersetUniverse; e++ {
-		if maskBits>>e&1 == 1 {
-			maskElems = append(maskElems, e)
-		}
-	}
-	mask := lattice.NewSet(maskElems...)
 	trigger := int(mat >> 27 % powersetUniverse)
-	var dropElems []int
 	drop := int(mat >> 31 % powersetUniverse)
-	for e := 0; e < powersetUniverse; e++ {
-		if e != drop {
-			dropElems = append(dropElems, e)
-		}
-	}
-	dropMask := lattice.NewSet(dropElems...)
+	baseBits := uint64(1)<<(mat%powersetUniverse) | uint64(1)<<(mat>>4%powersetUniverse)
+	maskBits := mat>>11%0xFFFF | uint64(mat%powersetUniverse)<<1 | 1
+	boundBits := maskBits&0xFFFF | baseBits
+	dropBits := uint64(0xFFFF) &^ (uint64(1) << drop)
+	triggerBit := uint64(1) << trigger
+	// The boxed form's constants are the raw twin's masks, decoded once:
+	// the bound is the mask joined with the base.
+	base, bound, dropMask := powersetOf(baseBits), powersetOf(boundBits), powersetOf(dropBits)
 	rhs := func(get func(int) lattice.Set[int]) lattice.Set[int] {
 		vals := make([]lattice.Set[int], len(ds))
 		for k, d := range ds {
@@ -569,17 +569,13 @@ func PowersetRHS(sp Spec) (eqn.RHS[int, lattice.Set[int]], eqn.RawRHS[int]) {
 			v = v.Union(t)
 		}
 		if sp.Bound {
-			v = v.Intersect(mask.Union(base))
+			v = v.Intersect(bound)
 		}
 		if nm := sp.NonMono; nm >= 0 && vals[nm].Has(trigger) {
 			v = v.Intersect(dropMask) // antitone: gaining trigger drops an element
 		}
 		return v
 	}
-	baseBits := uint64(1)<<(mat%powersetUniverse) | uint64(1)<<(mat>>4%powersetUniverse)
-	boundBits := maskBits&0xFFFF | baseBits
-	dropBits := uint64(0xFFFF) &^ (uint64(1) << drop)
-	triggerBit := uint64(1) << trigger
 	raw := func(get func(int) []uint64, dst []uint64) {
 		v := baseBits
 		for k, d := range ds {

@@ -127,6 +127,8 @@ type Engine[X comparable, D any] struct {
 	// live holds the srr, sw and psw engines' assignment by order position,
 	// equal to prev; nil for rr and w, which re-solve in full.
 	live *solver.Live[X, D]
+	// cone is the member buffer every Resolve's Decomposition.Cone reuses.
+	cone []int
 }
 
 // Solvers the engine dispatches to.
@@ -320,7 +322,8 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 		}, nil
 	}
 
-	members, coneStrata := solver.DecompositionOf(e.sys).Cone(seeds)
+	members, coneStrata := solver.DecompositionOf(e.sys).Cone(e.cone, seeds)
+	e.cone = members
 	st, err := e.live.SolveCone(members, cfg, e.prev)
 	if err != nil {
 		return nil, err

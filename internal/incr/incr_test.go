@@ -596,7 +596,7 @@ func TestLeafConeAllocsIndependentOfN(t *testing.T) {
 	var allocs []float64
 	for _, n := range []int{256, 4096} {
 		e, _ := leafEngine(t, n)
-		step := func() { solver.DecompositionOf(e.sys).Cone(e.pending()) }
+		step := func() { e.cone, _ = solver.DecompositionOf(e.sys).Cone(e.cone, e.pending()) }
 		step()
 		allocs = append(allocs, testing.AllocsPerRun(100, step))
 	}
@@ -618,7 +618,7 @@ func TestConeResolveAllocsIndependentOfCone(t *testing.T) {
 	// The last unknown before position p whose cone has a size in [lo, hi].
 	pick := func(p, lo, hi int) int {
 		for i := p - 1; i >= 0; i-- {
-			if m, _ := dec.Cone([]int{i}); len(m) >= lo && len(m) <= hi {
+			if m, _ := dec.Cone(nil, []int{i}); len(m) >= lo && len(m) <= hi {
 				return i
 			}
 		}

@@ -152,9 +152,10 @@ func unmemoized(adj [][]int) *Decomposition {
 // DecompositionOf(sys).Strata() is the memoized form.
 func Stratify(adj [][]int) []Stratum { return unmemoized(adj).Strata() }
 
-// DirtyCone is Decomposition.Cone over an unmemoized decomposition of adj.
+// DirtyCone is Decomposition.Cone over an unmemoized decomposition of adj,
+// into a fresh slice.
 func DirtyCone(adj [][]int, seeds []int) (members []int, dirtyStrata int) {
-	return unmemoized(adj).Cone(seeds)
+	return unmemoized(adj).Cone(nil, seeds)
 }
 
 // NumStrata returns the number of strata.
@@ -172,14 +173,15 @@ func (d *Decomposition) Strata() []Stratum {
 // Cone computes which unknowns an edit batch can affect: the downstream
 // closure of the seed indices over the influence relation (the reverse of
 // the dependence graph), rounded up to whole strata. It returns the member
-// indices in increasing order and the number of dirty strata. Unknowns
+// indices in increasing order, in buf's storage when it has room (buf's
+// contents are overwritten), and the number of dirty strata. Unknowns
 // outside the returned set have no dependence path to any seed; their
 // previous finals are exact for any solver. The cost is proportional to the
 // closure's edges plus the rounded cone, not to the whole graph.
-func (d *Decomposition) Cone(seeds []int) (members []int, dirtyStrata int) {
+func (d *Decomposition) Cone(buf, seeds []int) (members []int, dirtyStrata int) {
 	n := len(d.stratumOf)
 	if n == 0 || len(seeds) == 0 {
-		return nil, 0
+		return buf[:0], 0
 	}
 	sc := d.scratch.Swap(nil)
 	if sc == nil {
@@ -217,7 +219,7 @@ func (d *Decomposition) Cone(seeds []int) (members []int, dirtyStrata int) {
 	}
 	sc.queue, sc.hit = queue, hit
 	if len(hit) == 0 {
-		return nil, 0
+		return buf[:0], 0
 	}
 	// Round up to whole strata. No re-closure is needed: a reader of any
 	// stratum member lives in the same or a later stratum, and the rounded-in
@@ -228,7 +230,7 @@ func (d *Decomposition) Cone(seeds []int) (members []int, dirtyStrata int) {
 	for _, si := range hit {
 		size += d.strata[si].hi - d.strata[si].lo + 1
 	}
-	members = make([]int, 0, size)
+	members = slices.Grow(buf[:0], size)
 	for _, si := range hit {
 		for i := d.strata[si].lo; i <= d.strata[si].hi; i++ {
 			members = append(members, i)

@@ -84,7 +84,7 @@ func TestConeMatchesBruteForce(t *testing.T) {
 		sys := g.Interval
 		n := sys.Len()
 		r := rand.New(rand.NewSource(int64(ri)))
-		var edited []int
+		var edited, buf []int
 		var prev *Decomposition
 		for gen := 0; gen < 8; gen++ {
 			dec := DecompositionOf(sys)
@@ -99,11 +99,13 @@ func TestConeMatchesBruteForce(t *testing.T) {
 			}
 			for _, seeds := range [][]int{nil, edited, {0}, {n - 1}, {n / 2}, random, {-1, n}} {
 				want, wantStrata := bruteCone(adj, seeds)
-				got, gotStrata := dec.Cone(seeds)
+				// The buffer holds the previous cone, which Cone overwrites.
+				got, gotStrata := dec.Cone(buf, seeds)
 				if !slices.Equal(got, want) || gotStrata != wantStrata {
 					t.Fatalf("%s gen %d seeds %v: cone %v (%d strata), brute force %v (%d strata)",
 						cfg, gen, seeds, got, gotStrata, want, wantStrata)
 				}
+				buf = got
 				got, gotStrata = DirtyCone(adj, seeds)
 				if !slices.Equal(got, want) || gotStrata != wantStrata {
 					t.Fatalf("%s gen %d seeds %v: DirtyCone %v (%d strata), brute force %v (%d strata)",
@@ -173,11 +175,11 @@ func TestConeEpochWrap(t *testing.T) {
 	sys := eqgen.New(eqgen.Config{Seed: 8, N: 64, ForwardDensity: 0.1}).Interval
 	dec := DecompositionOf(sys)
 	adj := sys.DepGraph()
-	dec.Cone([]int{0})
+	dec.Cone(nil, []int{0})
 	dec.scratch.Load().epoch = ^uint32(0) - 1
 	for k, seeds := range [][]int{{63}, {0}, {31}, {0}} {
 		want, wantStrata := bruteCone(adj, seeds)
-		got, gotStrata := dec.Cone(seeds)
+		got, gotStrata := dec.Cone(nil, seeds)
 		if !slices.Equal(got, want) || gotStrata != wantStrata {
 			t.Fatalf("cone %d after the wrap: %v (%d strata), want %v (%d strata)", k, got, gotStrata, want, wantStrata)
 		}
@@ -331,7 +333,7 @@ func TestDecompositionConcurrentUse(t *testing.T) {
 			for k := 0; k < 40; k++ {
 				seeds := []int{r.Intn(200), r.Intn(200)}
 				wantCone, wantStrata := bruteCone(adj, seeds)
-				if got, gotStrata := dec.Cone(seeds); !slices.Equal(got, wantCone) || gotStrata != wantStrata {
+				if got, gotStrata := dec.Cone(nil, seeds); !slices.Equal(got, wantCone) || gotStrata != wantStrata {
 					t.Errorf("worker %d seeds %v: cone %v (%d strata), want %v (%d strata)", w, seeds, got, gotStrata, wantCone, wantStrata)
 					return
 				}

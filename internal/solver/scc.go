@@ -138,14 +138,21 @@ func stratify(off, dat []int32) []stratum {
 			reach[i] = max(reach[i], int32(j))
 		}
 	}
-	var out []stratum
-	for start := 0; start < n; {
+	// The first pass counts the strata, leaving each one's end at
+	// reach[start], which it has already read; the second fills them in.
+	count := 0
+	for start := 0; start < n; count++ {
 		end := start
 		for i := start; i <= end; i++ {
 			end = max(end, int(reach[i]))
 		}
-		out = append(out, stratum{start, end})
+		reach[start] = int32(end)
 		start = end + 1
+	}
+	out := make([]stratum, count)
+	for k, start := 0, 0; k < count; k++ {
+		out[k] = stratum{start, int(reach[start])}
+		start = out[k].hi + 1
 	}
 	return out
 }
