@@ -181,16 +181,68 @@ func BenchmarkSolvers(b *testing.B) {
 	}
 }
 
+// wideKey identifies unknown (component, node) of the wide system.
+type wideKey struct{ C, N int }
+
+// wideSystem builds a synthetic constraint system of comps independent
+// loop nests: component c is a ring of size unknowns circulating a counting
+// interval capped by a guard, i.e. one SCC that ⊟ first widens to [0,+inf]
+// and then narrows back ring pass by ring pass — the iteration profile of a
+// Table 1-scale loop nest. Each right-hand side additionally performs work
+// rounds of value-neutral interval arithmetic, emulating the transfer-
+// function cost of a real analysis (where evaluating an edge is far more
+// expensive than the solver bookkeeping around it).
+func wideSystem(comps, size, work int) *eqn.System[wideKey, lattice.Interval] {
+	l := lattice.Ints
+	one := lattice.Singleton(1)
+	heavy := func(v lattice.Interval) lattice.Interval {
+		sink := v
+		for i := 0; i < work; i++ {
+			sink = sink.Add(one)
+		}
+		// Meet(sink, v) ⊑ v, so joining it back never changes the value:
+		// the arithmetic is paid for but the result stays exact.
+		return l.Join(v, l.Meet(sink, v))
+	}
+	sys := eqn.NewSystem[wideKey, lattice.Interval]()
+	bound := lattice.Singleton(int64(4 * size))
+	for c := 0; c < comps; c++ {
+		c := c
+		// Head: x₀ = [0,0] ⊔ (x_{size-1} + 1).
+		last := wideKey{c, size - 1}
+		sys.Define(wideKey{c, 0}, []wideKey{last}, func(get func(wideKey) lattice.Interval) lattice.Interval {
+			return heavy(l.Join(lattice.Singleton(0), get(last).Add(one)))
+		})
+		for j := 1; j < size; j++ {
+			j := j
+			prev := wideKey{c, j - 1}
+			if j == 1 {
+				// Guard: x₁ = x₀ restricted below the loop bound — the
+				// narrowing handle of the component.
+				sys.Define(wideKey{c, j}, []wideKey{prev}, func(get func(wideKey) lattice.Interval) lattice.Interval {
+					return heavy(get(prev).RestrictLt(bound))
+				})
+				continue
+			}
+			sys.Define(wideKey{c, j}, []wideKey{prev}, func(get func(wideKey) lattice.Interval) lattice.Interval {
+				return heavy(get(prev).Add(one))
+			})
+		}
+	}
+	return sys
+}
+
 // BenchmarkPSW compares sequential SW against the parallel SCC-stratified
-// solver PSW at 1/2/4/8 workers on the synthetic wide system (independent
-// loop nests = independent strata). Solutions are bit-identical by
+// solver PSW at 1/2/4/8 workers on the synthetic wide system: eight
+// independent loop nests, so a few heavy strata, where the internal/solver
+// BenchmarkPSW rows have many light ones. Solutions are bit-identical by
 // construction; the measured quantity is wall clock.
 func BenchmarkPSW(b *testing.B) {
 	l := lattice.Ints
-	sys := experiments.WideSystem(8, 1500, 24)
-	init := func(experiments.WideKey) lattice.Interval { return lattice.EmptyInterval }
-	op := func() solver.Operator[experiments.WideKey, lattice.Interval] {
-		return solver.Op[experiments.WideKey](solver.Warrow[lattice.Interval](l))
+	sys := wideSystem(8, 1500, 24)
+	init := func(wideKey) lattice.Interval { return lattice.EmptyInterval }
+	op := func() solver.Operator[wideKey, lattice.Interval] {
+		return solver.Op[wideKey](solver.Warrow[lattice.Interval](l))
 	}
 	b.Run("SW", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -310,7 +362,7 @@ func TestExperimentsTraces(t *testing.T) {
 }
 
 // TestExperimentsCPWSpeedupShape exercises the giant-SCC workload and the
-// CPW scaling experiment exactly as cmd/bench -cpw runs them: the system
+// CPW experiment exactly as cmd/bench -cpw runs them: the system
 // must really be one giant component (the envelope's giant_scc stamp), PSW
 // must see a single stratum, and every CPW row must come back certified
 // (CPWSpeedup errors out otherwise).

@@ -4,37 +4,27 @@
 //	bench -table1     Table 1  (runtime/unknowns on SpecCPU-scale programs)
 //	bench -traces     Examples 1–4 (solver divergence and termination)
 //	bench -ablations  ⊟ₖ degradation, solver work, threshold widening
-//	bench -psw        SW vs PSW speedup on the synthetic wide system
 //	bench -cpw        PSW vs CPW on the single giant-SCC ring (-mega scales
 //	                  it past 10⁵ unknowns; the committed BENCH_cpw.json)
-//	bench -unboxed    boxed vs word value store on eqgen systems
-//	bench -incr       incremental re-solve vs from-scratch on edit workloads
 //	bench -slr        widening-point family SLR2/SLR3/SLR4: precision on the
 //	                  WCET suite, evaluation totals on the eqgen macro matrix
 //	                  (-slrjson regenerates the committed BENCH_slr.json)
 //	bench -all        everything
 //
 // The suites fan out across -workers goroutines (0 = GOMAXPROCS) with
-// deterministic output ordering; -json writes the machine-readable
-// measurements (PSW speedup rows, Table 1 cells) to a BENCH_*.json file so
-// later changes have a perf trajectory to compare against. -timeout bounds
-// every individual solve with a wall-clock deadline: a run that trips it
-// fails with a structured deadline abort instead of hanging the suite.
-//
-// Worker-scaling rows (-psw, -cpw) are refused outright on GOMAXPROCS=1 hosts:
-// serial hardware cannot measure parallel speedup, and quietly writing
-// rows that look like measurements would poison the perf trajectory.
-// -allow-serial overrides the refusal for correctness smoke runs; the
-// resulting JSON carries a prominent note. -smoke shrinks the -unboxed,
-// -cpw, -incr and -slr matrices for CI (see make bench-smoke).
+// deterministic output ordering; -json writes the machine-readable rows
+// (CPW evaluation counts, Table 1 cells) to a BENCH_*.json file. Every row
+// is a count: timings come from go test -bench and perfbench, which repeat
+// their runs. -timeout bounds every individual solve with a wall-clock
+// deadline: a run that trips it fails with a structured deadline abort
+// instead of hanging the suite. -smoke shrinks the -cpw and -slr matrices
+// for CI.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strings"
 
 	"warrow/internal/eqgen"
 	"warrow/internal/experiments"
@@ -63,52 +53,24 @@ func main() {
 	table1 := flag.Bool("table1", false, "regenerate Table 1")
 	traces := flag.Bool("traces", false, "print Examples 1-4 solver traces")
 	ablations := flag.Bool("ablations", false, "run the ablation studies")
-	psw := flag.Bool("psw", false, "measure SW vs PSW at several worker counts")
-	cpw := flag.Bool("cpw", false, "measure PSW vs CPW on the single giant-SCC ring at several worker counts")
+	cpw := flag.Bool("cpw", false, "run PSW and CPW on the single giant-SCC ring at several worker counts, certifying every CPW result")
 	mega := flag.Bool("mega", false, "with -cpw: mega-scale ring (>=1e5 unknowns) instead of the default")
-	unboxed := flag.Bool("unboxed", false, "measure the boxed vs the word value store on eqgen systems")
-	faults := flag.Bool("faults", false, "measure the fault-isolation layer: checkpoint and retry overhead")
-	incrf := flag.Bool("incr", false, "measure incremental re-solves against from-scratch solves on edit workloads")
 	slr := flag.Bool("slr", false, "measure the widening-point family SLR2/SLR3/SLR4: precision (interval widths) on the WCET suite, evals on the eqgen macro matrix")
 	slrJSON := flag.String("slrjson", "", "write the -slr measurements to this file (the committed BENCH_slr.json artifact)")
 	all := flag.Bool("all", false, "run everything")
 	workers := flag.Int("workers", 0, "harness worker-pool size (0 = GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "write machine-readable perf rows to this file")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound per individual solve (0 = unbounded)")
-	smoke := flag.Bool("smoke", false, "reduced -unboxed, -cpw, -incr and -slr matrices for CI smoke runs")
-	allowSerial := flag.Bool("allow-serial", false, "run worker-scaling suites even on GOMAXPROCS=1 (rows are correctness checks, not speedups)")
+	smoke := flag.Bool("smoke", false, "reduced -cpw and -slr matrices for CI smoke runs")
 	flag.Parse()
 	experiments.SolveTimeout = *timeout
 
-	if !*fig7 && !*table1 && !*traces && !*ablations && !*psw && !*cpw && !*unboxed && !*faults && !*incrf && !*slr && !*all {
+	if !*fig7 && !*table1 && !*traces && !*ablations && !*cpw && !*slr && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *all {
-		*fig7, *table1, *traces, *ablations, *psw, *cpw, *unboxed, *faults, *incrf, *slr = true, true, true, true, true, true, true, true, true, true
-	}
-	var note string
-	var geomean float64
-	var breakdown *experiments.GeomeanBreakdown
-	for _, scaling := range []struct {
-		on   bool
-		name string
-	}{{*psw, "psw"}, {*cpw, "cpw"}} {
-		if !scaling.on || runtime.GOMAXPROCS(0) != 1 {
-			continue
-		}
-		if !*allowSerial {
-			fmt.Fprintf(os.Stderr, "%s: GOMAXPROCS=1 — worker-scaling rows would be meaningless on serial hardware.\n", scaling.name)
-			fmt.Fprintf(os.Stderr, "%s: rerun on a multi-core host, or pass -allow-serial to record correctness-only rows.\n", scaling.name)
-			os.Exit(1)
-		}
-		n := fmt.Sprintf("GOMAXPROCS=1: %s worker-scaling rows are serial correctness checks, not speedup measurements", scaling.name)
-		if note != "" {
-			note += "; " + n
-		} else {
-			note = n
-		}
-		fmt.Fprintln(os.Stderr, scaling.name+": WARNING:", n)
+		*fig7, *table1, *traces, *ablations, *cpw, *slr = true, true, true, true, true, true
 	}
 	var perf []experiments.PerfRow
 	if *traces {
@@ -139,16 +101,6 @@ func main() {
 			fmt.Println(out)
 		}
 	}
-	if *psw {
-		rows, err := experiments.PSWSpeedup(8, 3000, 24, []int{1, 2, 4, 8})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psw:", err)
-			os.Exit(1)
-		}
-		fmt.Println("SW vs PSW on the synthetic wide system (8 independent loop nests):")
-		fmt.Println(experiments.FormatPerfRows(rows))
-		perf = append(perf, rows...)
-	}
 	var giantFrac float64
 	if *cpw {
 		// Default ~6 400 unknowns; -smoke shrinks to ~1 600 for CI, -mega
@@ -174,52 +126,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cpw:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("CPW on the eqgen giant-SCC recipe (certified, %.0f%% giant): %s\n",
+		fmt.Printf("CPW on the eqgen giant-SCC recipe (certified, %.0f%% giant):\n%s\n",
 			100*genFrac, experiments.FormatPerfRows([]experiments.PerfRow{genRow}))
 		perf = append(perf, genRow)
-	}
-	if *unboxed {
-		rows, g, bd, notes, err := experiments.UnboxedVsDense(experiments.DenseCases(*smoke), 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "unboxed:", err)
-			os.Exit(1)
-		}
-		geomean, breakdown = g, bd
-		fmt.Println("Boxed vs word value store on eqgen macro-benchmarks:")
-		fmt.Println(experiments.FormatUnboxedRows(rows, g, bd))
-		for _, n := range notes {
-			fmt.Fprintln(os.Stderr, "unboxed: NOTE:", n)
-		}
-		if len(notes) > 0 {
-			joined := strings.Join(notes, "; ")
-			if note != "" {
-				note += "; " + joined
-			} else {
-				note = joined
-			}
-		}
-		perf = append(perf, rows...)
-	}
-	if *faults {
-		rows, err := experiments.FaultOverhead(8, 3000, 24, 10000, 0.002)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faults:", err)
-			os.Exit(1)
-		}
-		fmt.Println("Fault-isolation overhead on the synthetic wide system (SW):")
-		fmt.Println(experiments.FormatPerfRows(rows))
-		perf = append(perf, rows...)
-	}
-	if *incrf {
-		rows, g, err := experiments.IncrWorkload(experiments.IncrCases(*smoke))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "incr:", err)
-			os.Exit(1)
-		}
-		geomean = g
-		fmt.Println("Incremental re-solve vs from-scratch SW on edit workloads:")
-		fmt.Println(experiments.FormatIncrRows(rows, g))
-		perf = append(perf, rows...)
 	}
 	if *slr {
 		res, err := experiments.SLRBench(*workers, *smoke)
@@ -242,7 +151,7 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		f := experiments.BenchFile{Note: note, GeomeanSpeedup: geomean, Breakdown: breakdown, GiantSCC: giantFrac, Rows: perf}
+		f := experiments.BenchFile{GiantSCC: giantFrac, Rows: perf}
 		if err := experiments.WriteBenchFile(*jsonOut, f); err != nil {
 			fmt.Fprintln(os.Stderr, "json:", err)
 			os.Exit(1)

@@ -1,10 +1,11 @@
 package eqgen
 
 // Seeded mutation of generated systems: the edit-workload generator behind
-// the incremental re-solve harness (internal/incr, diffsolve.CheckIncremental
-// and cmd/bench -incr). A mutation redefines an unknown's equation in place
-// — fresh constant material, re-rolled widening/bound/flip flags, and
-// occasionally a changed dependence list — through eqn.RedefineRaw, so both
+// the incremental re-solve harness (internal/incr's tests,
+// diffsolve.CheckIncremental and perfbench's edit-stream). A mutation
+// redefines an unknown's equation in place — fresh constant material,
+// re-rolled widening/bound/flip flags, and occasionally a changed
+// dependence list — through eqn.RedefineRaw, so both
 // the boxed right-hand side and its fused unboxed twin are replaced in one
 // step and same-dependences edits patch compiled solver shapes instead of
 // discarding them. The same (seed, k) always produces the same edit batch:

@@ -1,20 +1,17 @@
-// CPW scaling experiment: the giant-SCC workload the chaotic intra-stratum
-// solver exists for, and the speedup rows cmd/bench -cpw persists.
+// CPW giant-SCC experiment: the workload the chaotic intra-stratum solver
+// exists for, and the certified rows cmd/bench -cpw persists.
 //
-// WideSystem (psw.go) gives PSW genuine parallelism by construction — many
-// independent components. GiantSCCSystem is its adversary: the same chains,
-// but linked head-to-tail into one ring, so the entire system condenses to
-// a single strongly connected component. PSW's stratified scheduler sees
-// one stratum and degenerates to sequential SW; CPW's sharded workers are
-// the only source of parallelism. CPWSpeedup measures exactly that split —
-// a PSW no-speedup baseline alongside CPW at several pool sizes, every CPW
+// GiantSCCSystem links chains of loop unknowns head-to-tail into one ring,
+// so the entire system condenses to a single strongly connected component.
+// PSW's stratified scheduler sees one stratum and degenerates to sequential
+// SW; CPW's sharded workers are the only source of parallelism. CPWSpeedup
+// records that split — PSW alongside CPW at several pool sizes, every CPW
 // result gated through internal/certify (CPW is certified, never
-// bit-pinned).
+// bit-pinned) — as evaluation and update counts.
 package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"warrow/internal/certify"
 	"warrow/internal/eqgen"
@@ -31,11 +28,10 @@ import (
 // for the dense and unboxed execution cores. The iteration profile is the
 // paper's: ⊟ widens the circulating interval to [0,+inf] and then narrows
 // it back below the ring bound through the per-chain guards. fan adds that
-// many extra intra-ring reads per unknown — value-neutral (meet-capped, as
-// in WideSystem's heavy) but real dependence edges, so chaotic workers
-// collide on shared unknowns the way a dense real analysis would. work adds
-// rounds of value-neutral interval arithmetic per evaluation, emulating
-// transfer-function cost.
+// many extra intra-ring reads per unknown — value-neutral (meet-capped) but
+// real dependence edges, so chaotic workers collide on shared unknowns the
+// way a dense real analysis would. work adds rounds of value-neutral
+// interval arithmetic per evaluation, emulating transfer-function cost.
 func GiantSCCSystem(chains, length, fan, work int) *eqn.System[int, lattice.Interval] {
 	l := lattice.Ints
 	one := lattice.Singleton(1)
@@ -178,13 +174,14 @@ func GiantFraction[X comparable, D any](sys *eqn.System[X, D]) float64 {
 	return float64(best) / float64(n)
 }
 
-// CPWSpeedup measures PSW (whose stratified scheduler finds nothing to
-// parallelize in a single-SCC system) against CPW at the given worker
-// counts on GiantSCCSystem(chains, length, fan, work). Every CPW result is
-// certified as a post-solution before its row is reported — the solver's
-// claim is certified, not bit-identical, so there is no value comparison
-// across runs. The returned fraction is GiantFraction of the system, for
-// the benchmark envelope's giant_scc stamp.
+// CPWSpeedup runs PSW (whose stratified scheduler finds nothing to
+// parallelize in a single-SCC system) and CPW at the given worker counts on
+// GiantSCCSystem(chains, length, fan, work) and reports each run's counts.
+// Every CPW result is certified as a post-solution before its row is
+// reported — the solver's claim is certified, not bit-identical, so there
+// is no value comparison across runs, and at two or more workers its counts
+// vary from run to run. The returned fraction is GiantFraction of the
+// system, for the benchmark envelope's giant_scc stamp.
 func CPWSpeedup(chains, length, fan, work int, workerCounts []int) ([]PerfRow, float64, error) {
 	l := lattice.Ints
 	sys := GiantSCCSystem(chains, length, fan, work)
@@ -197,19 +194,16 @@ func CPWSpeedup(chains, length, fan, work int, workerCounts []int) ([]PerfRow, f
 
 	var rows []PerfRow
 	for _, w := range []int{1, 4} {
-		start := time.Now()
 		_, st, err := solver.PSW(sys, l, op(), init, solver.Config{Workers: w, Timeout: SolveTimeout})
 		if err != nil {
 			return nil, frac, fmt.Errorf("%s: PSW workers=%d: %w", name, w, err)
 		}
 		rows = append(rows, PerfRow{
 			Name: name, Solver: "psw", Workers: st.Workers,
-			WallNs: time.Since(start).Nanoseconds(),
-			Evals:  st.Evals, Updates: st.Updates, Unknowns: st.Unknowns,
+			Evals: st.Evals, Updates: st.Updates, Unknowns: st.Unknowns,
 		})
 	}
 	for _, w := range workerCounts {
-		start := time.Now()
 		sigma, st, err := solver.CPW(sys, l, op(), init, solver.Config{Workers: w, Timeout: SolveTimeout})
 		if err != nil {
 			return rows, frac, fmt.Errorf("%s: CPW workers=%d: %w", name, w, err)
@@ -219,8 +213,7 @@ func CPWSpeedup(chains, length, fan, work int, workerCounts []int) ([]PerfRow, f
 		}
 		rows = append(rows, PerfRow{
 			Name: name, Solver: "cpw", Workers: st.Workers,
-			WallNs: time.Since(start).Nanoseconds(),
-			Evals:  st.Evals, Updates: st.Updates, Unknowns: st.Unknowns,
+			Evals: st.Evals, Updates: st.Updates, Unknowns: st.Unknowns,
 		})
 	}
 	return rows, frac, nil
@@ -241,7 +234,6 @@ func CPWGenRow(cfg eqgen.Config, workers int) (PerfRow, float64, error) {
 	name := fmt.Sprintf("eqgen(%s)", g.Shape.Cfg)
 	frac := GiantFraction(sys)
 	init := eqn.ConstBottom[int, lattice.Interval](l)
-	start := time.Now()
 	sigma, st, err := solver.CPW(sys, l, solver.WarrowOp[int, lattice.Interval](l), init,
 		solver.Config{Workers: workers, MaxEvals: 2_000_000, Timeout: SolveTimeout})
 	if err != nil {
@@ -252,7 +244,6 @@ func CPWGenRow(cfg eqgen.Config, workers int) (PerfRow, float64, error) {
 	}
 	return PerfRow{
 		Name: name, Solver: "cpw", Workers: st.Workers,
-		WallNs: time.Since(start).Nanoseconds(),
-		Evals:  st.Evals, Updates: st.Updates, Unknowns: st.Unknowns,
+		Evals: st.Evals, Updates: st.Updates, Unknowns: st.Unknowns,
 	}, frac, nil
 }

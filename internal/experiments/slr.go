@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -307,33 +304,16 @@ func FormatSLR(res *SLRResult) string {
 }
 
 // SLRBenchFile is the envelope of the committed BENCH_slr.json artifact.
-// Unlike the wall-clock suites, every number in it is a deterministic work
-// or precision count, so the artifact is reproducible on any host; the
-// machine facts are recorded for provenance only.
+// Every number in it is a deterministic work or precision count, so the
+// artifact is reproducible on any host; the Host stamp records provenance
+// only.
 type SLRBenchFile struct {
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	Note       string `json:"note,omitempty"`
+	Host
+	Note string `json:"note,omitempty"`
 	SLRResult
 }
 
 // WriteSLRBench writes the experiment result to path, stamping host facts.
 func WriteSLRBench(path, note string, res *SLRResult) error {
-	f := SLRBenchFile{
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Note:       note,
-		SLRResult:  *res,
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeJSON(path, SLRBenchFile{Host: thisHost(), Note: note, SLRResult: *res})
 }

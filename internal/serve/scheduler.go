@@ -57,18 +57,24 @@ func newScheduler(workers, capacity, quantum int, m *Metrics) *scheduler {
 	return s
 }
 
-// admit tries to take an admission slot and enqueue t. It never blocks:
-// when the semaphore is full the task is rejected and the caller answers
-// REJECTED overloaded — bounded, observable backpressure instead of an
-// unbounded buffer.
-func (s *scheduler) admit(t *task) bool {
+// admit tries to take an admission slot. It never blocks: when the
+// semaphore is full the caller answers REJECTED overloaded — bounded,
+// observable backpressure instead of an unbounded buffer. A caller that
+// gets a slot must pass its task to enqueue.
+func (s *scheduler) admit() bool {
 	select {
 	case s.slots <- struct{}{}:
-		s.runq <- t // cannot block: #queued ≤ #slots held ≤ cap(runq)
 		return true
 	default:
 		return false
 	}
+}
+
+// enqueue hands an admitted task to the workers. It cannot block: #queued ≤
+// #slots held ≤ cap(runq). A worker may run and finish t before enqueue
+// returns.
+func (s *scheduler) enqueue(t *task) {
+	s.runq <- t
 }
 
 // stop terminates the worker pool. The caller must first ensure every

@@ -274,15 +274,19 @@ func (s *Server) dispatch(sess *session, req *proto.Request) {
 	}
 	sess.inflight.Add(1)
 	s.taskWG.Add(1)
-	if !s.sched.admit(t) {
+	if !s.sched.admit() {
 		sess.inflight.Add(-1)
 		s.taskWG.Done()
 		tcancel()
 		reject("overloaded", "overloaded")
 		return
 	}
+	// Count the acceptance before the task reaches the run queue: a worker
+	// can run it and answer the client before enqueue returns, and t.finish
+	// has counted the outcome by then.
 	s.metrics.incAccepted()
 	s.log("accepted", map[string]any{"id": req.ID, "solver": req.Solver, "source": req.Source, "timeout_ns": int64(timeout)})
+	s.sched.enqueue(t)
 }
 
 // send writes one response under the session write lock, with the write

@@ -126,3 +126,36 @@ func TestServeSoak(t *testing.T) {
 	srv.Close()
 	waitGoroutines(t, before)
 }
+
+// TestServeMetricsBalancedPerAnswer checks the admission accounting from
+// the client's side of every answer: a client that has read the answer to
+// each request it sent must find each of them counted as accepted and as
+// finished, and the queue depth back at zero. A worker can run and answer a
+// task as soon as it reaches the run queue, so the acceptance has to be
+// counted before then. Tiny sequential solves on two workers keep that
+// window open; run it under -race, where the answer most often wins.
+func TestServeMetricsBalancedPerAnswer(t *testing.T) {
+	srv, addr := startServer(t, Options{Workers: 2})
+	c := dialT(t, addr)
+	for i := 1; i <= 2000; i++ {
+		resp, err := c.Do(genReq("sw", uint64(i), 4, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != proto.StatusCompleted {
+			t.Fatalf("request %d: status %s (%s), want completed", i, resp.Status, resp.Reason)
+		}
+		snap := srv.Metrics().Snapshot()
+		finished := snap["eqsolved_completed_total"]
+		for name, n := range snap {
+			if strings.HasPrefix(name, "eqsolved_aborted_total{") {
+				finished += n
+			}
+		}
+		accepted, depth := snap["eqsolved_accepted_total"], snap["eqsolved_queue_depth"]
+		if accepted != uint64(i) || finished != accepted || depth != 0 {
+			t.Fatalf("after answer %d: accepted %d, terminal outcomes %d, queue depth %d",
+				i, accepted, finished, int64(depth))
+		}
+	}
+}

@@ -382,8 +382,8 @@ func TestSLRPlusWarmRestart(t *testing.T) {
 }
 
 // TestPeriodicCheckpointSink: Config.CheckpointEvery emits snapshots at the
-// configured cadence, and a mid-run snapshot resumes to the uninterrupted
-// totals.
+// configured cadence without changing the solve's values, Evals or Updates,
+// and a mid-run snapshot resumes to the uninterrupted totals.
 func TestPeriodicCheckpointSink(t *testing.T) {
 	l := lattice.Ints
 	op := func() Operator[string, iv] { return Op[string](Warrow[iv](l)) }
@@ -400,7 +400,7 @@ func TestPeriodicCheckpointSink(t *testing.T) {
 				t.Fatal(err)
 			}
 			var cps []*Checkpoint[string, iv]
-			_, _, err = run(Config{
+			sunk, sunkSt, err := run(Config{
 				// The sink alone must not arm the watchdog, so give it a big
 				// budget to keep the run bounded-but-complete.
 				MaxEvals:        refSt.Evals + 1,
@@ -410,6 +410,12 @@ func TestPeriodicCheckpointSink(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Snapshotting must leave the solve itself unchanged.
+			if sunkSt.Evals != refSt.Evals || sunkSt.Updates != refSt.Updates {
+				t.Fatalf("sink-armed evals/updates = %d/%d, want %d/%d",
+					sunkSt.Evals, sunkSt.Updates, refSt.Evals, refSt.Updates)
+			}
+			sameAssignment(t, "sink-armed", sunk, ref)
 			want := (refSt.Evals - 1) / 3 // thresholds 3, 6, … strictly below the total
 			if len(cps) != want {
 				t.Fatalf("sink saw %d snapshots, want %d (evals %d, every 3)", len(cps), want, refSt.Evals)
