@@ -1,12 +1,15 @@
 # Tier-1: the build/test gate every change must keep green. vet catches
 # dropped-error patterns; the GOARCH=386 cross-build catches 32-bit key
 # arithmetic regressions (the idHeap/bandKey int64 invariants) mechanically;
-# the gofmt step fails on any unformatted file.
+# the gofmt step fails on any unformatted file. The perfbench module builds
+# against this one (replace warrow => ../) and uses its serve, proto, incr
+# and solver APIs, so it is built and vetted here too.
 tier1:
 	go build ./... && go test ./...
 	go vet ./...
 	GOARCH=386 go build ./...
 	test -z "$$(gofmt -l .)"
+	cd perfbench && go build ./... && go vet ./...
 
 # Tier-2: vet + race-checked tests + the chaos, serve and CPW smokes + the
 # micro-benchmark smoke + the widening-point family smoke + a bounded fuzz

@@ -378,8 +378,8 @@ func TestExperimentsCPWSpeedupShape(t *testing.T) {
 	if frac != 1.0 {
 		t.Errorf("reported giant fraction = %.3f, want 1.0", frac)
 	}
-	if len(rows) != 4 { // psw@1, psw@4, cpw@1, cpw@2
-		t.Fatalf("got %d rows, want 4:\n%s", len(rows), experiments.FormatPerfRows(rows))
+	if len(rows) != 3 { // psw@1, cpw@1, cpw@2
+		t.Fatalf("got %d rows, want 3:\n%s", len(rows), experiments.FormatPerfRows(rows))
 	}
 	for _, r := range rows {
 		if r.Unknowns != 200 || r.Evals == 0 {

@@ -101,22 +101,9 @@ func runConnect[D any](addr string, f *eqdsl.File, sys *eqn.System[string, D], l
 }
 
 // connectDispatch picks the typed runConnect instantiation for the file's
-// domain and enforces the flag subset a served solve supports.
+// domain.
 func connectDispatch(addr string, f *eqdsl.File, raw string, cfg connectCfg,
 	check bool, persist persistence) {
-	if !proto.Preemptible(cfg.solver) {
-		// Non-preemptible served solvers still exist (slr2-4) — only reject
-		// names the daemon does not know at all.
-		known := false
-		for _, s := range proto.Solvers {
-			if s == cfg.solver {
-				known = true
-			}
-		}
-		if !known {
-			usage(fmt.Sprintf("-connect serves the global solvers (%v), not %q", proto.Solvers, cfg.solver))
-		}
-	}
 	switch f.Domain {
 	case eqdsl.DomainNatInf:
 		sys, err := f.NatSystem()

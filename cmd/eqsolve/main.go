@@ -56,6 +56,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"warrow/internal/certify"
 	"warrow/internal/ckptcodec"
@@ -67,7 +69,7 @@ import (
 )
 
 func main() {
-	solverFlag := flag.String("solver", "sw", "solver: rr, w, srr, sw, psw, cpw, slr, slr2, slr3, or slr4")
+	solverFlag := flag.String("solver", "sw", "solver: "+strings.Join(solver.Globals, ", ")+", or the local slr")
 	opFlag := flag.String("op", "warrow", "operator: join, widen, narrow, warrow, or replace")
 	query := flag.String("query", "", "with -solver slr: the unknown to solve for (default: last defined)")
 	maxEvals := flag.Int("max-evals", 100000, "evaluation budget (0 = unbounded)")
@@ -108,10 +110,15 @@ func main() {
 		MaxEvals: *maxEvals, Workers: *workers, Timeout: *timeout, MaxFlips: *maxFlips,
 		Retry: solver.RetryPolicy{MaxAttempts: *retry, BaseDelay: *retryBase},
 	}
+	if *solverFlag != "slr" && !slices.Contains(solver.Globals, *solverFlag) {
+		usage(fmt.Sprintf("unknown -solver %q (want %s, or slr)", *solverFlag, strings.Join(solver.Globals, ", ")))
+	}
 	if *connect != "" {
 		// Served solves run the daemon's fixed ⊟ pipeline; flags that steer
 		// the local pipeline have no served counterpart.
 		switch {
+		case *solverFlag == "slr":
+			usage("-connect serves the global solvers; slr solves locally only")
 		case *opFlag != "warrow":
 			usage("-connect always solves with -op warrow (the daemon's operator)")
 		case *editPath != "" || *resolveFlag:
@@ -241,8 +248,8 @@ func run[D any](f *eqdsl.File, sys *eqn.System[string, D], l lattice.Lattice[D],
 		if err != nil {
 			fatal(err)
 		}
-		if solverName == "cpw" && cp.Solver != "cpw" {
-			usage(fmt.Sprintf("-solver cpw cannot resume a %q checkpoint; rerun with -solver %s or start cpw fresh", cp.Solver, cp.Solver))
+		if cp.Solver != solverName {
+			usage(fmt.Sprintf("-solver %s cannot resume a %q checkpoint; rerun with -solver %s or start %s fresh", solverName, cp.Solver, cp.Solver, solverName))
 		}
 		cfg.Resume = cp
 		fmt.Printf("resuming %s from %s (%d evaluations done)\n", cp.Solver, persist.resume, cp.Evals)
@@ -348,35 +355,14 @@ func run[D any](f *eqdsl.File, sys *eqn.System[string, D], l lattice.Lattice[D],
 	applyEdits()
 
 	solveOnce := func(name string) (map[string]D, solver.Stats, error) {
-		switch name {
-		case "rr":
-			return solver.RR(sys, l, op, init, cfg)
-		case "w":
-			return solver.W(sys, l, op, init, cfg)
-		case "srr":
-			return solver.SRR(sys, l, op, init, cfg)
-		case "sw":
-			return solver.SW(sys, l, op, init, cfg)
-		case "psw":
-			return solver.PSW(sys, l, op, init, cfg)
-		case "cpw":
-			return solver.CPW(sys, l, op, init, cfg)
-		case "slr2":
-			return solver.SLR2(sys, l, op, init, cfg)
-		case "slr3":
-			return solver.SLR3(sys, l, op, init, cfg)
-		case "slr4":
-			return solver.SLR4(sys, l, op, init, cfg)
-		case "slr":
-			if query == "" {
-				query = f.Order[len(f.Order)-1]
-			}
-			res, err := solver.SLR(sys.AsPure(), l, op, init, query, cfg)
-			return res.Values, res.Stats, err
-		default:
-			fatal(fmt.Errorf("unknown solver %q", name))
-			panic("unreachable")
+		if name != "slr" {
+			return solver.Run(name, sys, l, op, init, cfg)
 		}
+		if query == "" {
+			query = f.Order[len(f.Order)-1]
+		}
+		res, err := solver.SLR(sys.AsPure(), l, op, init, query, cfg)
+		return res.Values, res.Stats, err
 	}
 
 	used := solverName

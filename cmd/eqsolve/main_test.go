@@ -360,3 +360,26 @@ func TestEqsolveCPWRejectsForeignResume(t *testing.T) {
 		t.Errorf("usage error spans %d extra lines:\n%s", n, out)
 	}
 }
+
+// TestEqsolveRejectsForeignResume: every solver, not just cpw, refuses a
+// checkpoint another solver wrote before it announces a resume or solves
+// anything — one usage line naming the writer, exit 2.
+func TestEqsolveRejectsForeignResume(t *testing.T) {
+	cp := t.TempDir() + "/example1.cp"
+	out, err := runEqsolve(t, "-solver", "srr", "-op", "warrow", "-max-evals", "5",
+		"-checkpoint", cp, "../../examples/systems/example1.eq")
+	if err == nil {
+		t.Fatalf("expected budget abort:\n%s", out)
+	}
+	out, err = runEqsolve(t, "-solver", "sw", "-op", "warrow", "-resume", cp,
+		"../../examples/systems/example1.eq")
+	if code := exitCode(err); code != 2 {
+		t.Fatalf("exit code = %d, want 2:\n%s", code, out)
+	}
+	if !strings.HasPrefix(out, "eqsolve: usage:") || !strings.Contains(out, `"srr"`) || strings.Contains(out, "resuming") {
+		t.Errorf("not an actionable usage line:\n%s", out)
+	}
+	if n := strings.Count(strings.TrimSpace(out), "\n"); n != 0 {
+		t.Errorf("usage error spans %d extra lines:\n%s", n, out)
+	}
+}

@@ -44,61 +44,40 @@ func Check[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], ini
 	// unboxed value store when scfg requests (or auto-selects) it.
 	op := solver.WarrowOp[X, D](l)
 
+	// Every global solver runs; the widening-point family's selective ∇/⊟
+	// placement changes where values settle, not the fault contract. PSW
+	// and CPW, the two that read Config.Workers, run last, once per worker
+	// count. CPW under chaos doubles as a schedule perturbation harness:
+	// injected per-evaluation latency shifts which worker claims which
+	// unknown, so each seed exercises a different chaotic interleaving.
 	type runner struct {
-		name string
-		run  func(*eqn.System[X, D], solver.Config) (map[X]D, solver.Stats, error)
+		name, solverName string
+		workers          int
 	}
-	runners := []runner{
-		{"rr", func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			return solver.RR(s, l, op, init, c)
-		}},
-		{"w", func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			return solver.W(s, l, op, init, c)
-		}},
-		{"srr", func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			return solver.SRR(s, l, op, init, c)
-		}},
-		{"sw", func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			return solver.SW(s, l, op, init, c)
-		}},
-		// The widening-point family: selective ∇/⊟ placement changes where
-		// values settle, not the fault contract — certified completion or a
-		// clean, resumable abort, like every other global solver.
-		{"slr2", func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			return solver.SLR2(s, l, op, init, c)
-		}},
-		{"slr3", func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			return solver.SLR3(s, l, op, init, c)
-		}},
-		{"slr4", func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			return solver.SLR4(s, l, op, init, c)
-		}},
+	var runners []runner
+	var pools []string
+	for _, name := range solver.Globals {
+		if name == "psw" || name == "cpw" {
+			pools = append(pools, name)
+			continue
+		}
+		runners = append(runners, runner{name, name, 0})
 	}
-	for _, wk := range workers {
-		wk := wk
-		runners = append(runners, runner{fmt.Sprintf("psw/w=%d", wk), func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			c.Workers = wk
-			return solver.PSW(s, l, op, init, c)
-		}})
-	}
-	// CPW under chaos doubles as a schedule perturbation harness: injected
-	// per-evaluation latency shifts which worker claims which unknown, so
-	// each seed exercises a different chaotic interleaving — and the verdict
-	// contract (certified completion or clean resumable abort) must hold for
-	// all of them.
-	for _, wk := range workers {
-		wk := wk
-		runners = append(runners, runner{fmt.Sprintf("cpw/w=%d", wk), func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
-			c.Workers = wk
-			return solver.CPW(s, l, op, init, c)
-		}})
+	for _, name := range pools {
+		for _, wk := range workers {
+			runners = append(runners, runner{fmt.Sprintf("%s/w=%d", name, wk), name, wk})
+		}
 	}
 
 	var verdicts []Verdict
 	for _, r := range runners {
+		run := func(s *eqn.System[X, D], c solver.Config) (map[X]D, solver.Stats, error) {
+			c.Workers = r.workers
+			return solver.Run(r.solverName, s, l, op, init, c)
+		}
 		chaotic, inj := Wrap(sys, ccfg)
 		v := Verdict{Solver: r.name}
-		got, _, err := runCaught(func() (map[X]D, solver.Stats, error) { return r.run(chaotic, scfg) })
+		got, _, err := runCaught(func() (map[X]D, solver.Stats, error) { return run(chaotic, scfg) })
 		v.Faults = inj.Faults()
 		switch {
 		case err == nil:
@@ -117,7 +96,7 @@ func Check[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], ini
 			}
 			rc := scfg
 			rc.Resume = cp
-			res, _, rerr := r.run(sys, rc)
+			res, _, rerr := run(sys, rc)
 			if rerr != nil {
 				if rep, ok := solver.ReportOf(rerr); !ok || rep.Reason == solver.AbortEvalFailure {
 					return verdicts, fmt.Errorf("%s: pristine resume failed: %w", r.name, rerr)

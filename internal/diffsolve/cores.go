@@ -26,8 +26,9 @@ import (
 // allows.
 var stores = []solver.Core{solver.CoreDense, solver.CoreAuto}
 
-// coreRunner is one global solver, parameterized over the full Config so the
-// harness can force either value store, with its reference transcription.
+// coreRunner is one of the solvers of Figs. 1–4 with its reference
+// transcription; run solves through solver.Run under the full Config, so
+// the harness can force either value store.
 type coreRunner[X comparable, D any] struct {
 	name string
 	run  func(solver.Config) (map[X]D, solver.Stats, error)
@@ -38,16 +39,16 @@ func coreRunners[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D
 	// WarrowOp is the structured ⊟: bit-identical to Op(Warrow(l)) on boxed
 	// values and the form that unlocks the word store.
 	op := solver.WarrowOp[X, D](l)
-	ref := func(maxEvals int) *reference[X, D] { return newReference(sys, l, op, init, maxEvals) }
+	runner := func(name string, fig func(*reference[X, D]) *reference[X, D]) coreRunner[X, D] {
+		return coreRunner[X, D]{name,
+			func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.Run(name, sys, l, op, init, c) },
+			func(m int) *reference[X, D] { return fig(newReference(sys, l, op, init, m)) }}
+	}
 	return []coreRunner[X, D]{
-		{"rr", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.RR(sys, l, op, init, c) },
-			func(m int) *reference[X, D] { return ref(m).rr() }},
-		{"w", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.W(sys, l, op, init, c) },
-			func(m int) *reference[X, D] { return ref(m).w() }},
-		{"srr", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.SRR(sys, l, op, init, c) },
-			func(m int) *reference[X, D] { return ref(m).srr() }},
-		{"sw", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.SW(sys, l, op, init, c) },
-			func(m int) *reference[X, D] { return ref(m).sw() }},
+		runner("rr", (*reference[X, D]).rr),
+		runner("w", (*reference[X, D]).w),
+		runner("srr", (*reference[X, D]).srr),
+		runner("sw", (*reference[X, D]).sw),
 	}
 }
 

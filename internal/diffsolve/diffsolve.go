@@ -94,6 +94,10 @@ type Outcome[X comparable, D any] struct {
 	EscalatedFrom string
 }
 
+// escalation maps each generic solver to the structured variant that
+// terminates with ⊟ where the generic one may diverge (Options.Escalate).
+var escalation = map[string]string{"rr": "srr", "w": "sw"}
+
 // RunAll runs the solver matrix with the combined operator ⊟ on a finite
 // system and certifies every terminating result: the global solvers through
 // certify.System, SLR through certify.Partial, and SLR⁺ (the system viewed
@@ -105,8 +109,8 @@ func RunAll[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], in
 	cfg := solver.Config{MaxEvals: opt.MaxEvals, Timeout: opt.Timeout, MaxFlips: opt.MaxFlips}
 	var out []Outcome[X, D]
 
-	global := func(name string, run func() (map[X]D, solver.Stats, error)) Outcome[X, D] {
-		sigma, st, err := run()
+	global := func(name, solverName string, cfg solver.Config) Outcome[X, D] {
+		sigma, st, err := solver.Run(solverName, sys, l, op, init, cfg)
 		o := Outcome[X, D]{Solver: name, Values: sigma, Stats: st, Err: err}
 		if err == nil {
 			o.Report = certify.System(l, sys, sigma, init)
@@ -114,32 +118,26 @@ func RunAll[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], in
 		out = append(out, o)
 		return o
 	}
-	// escalate reruns a diverged generic solver's workload on its
-	// terminating structured variant and records the escalation.
-	escalate := func(from Outcome[X, D], name string, run func() (map[X]D, solver.Stats, error)) {
-		if !opt.Escalate || from.Err == nil {
-			return
+	for _, name := range solver.Globals {
+		if name == "cpw" {
+			continue // certified, never bit-pinned: CheckCPW is its column
 		}
-		global(from.Solver+"→"+name, run)
-		out[len(out)-1].EscalatedFrom = from.Solver
+		if name == "psw" {
+			for _, w := range opt.Workers {
+				pcfg := cfg
+				pcfg.Workers = w
+				global(fmt.Sprintf("psw/w=%d", w), name, pcfg)
+			}
+			continue
+		}
+		o := global(name, name, cfg)
+		// A diverged generic solver's workload reruns on its terminating
+		// structured variant.
+		if to := escalation[name]; opt.Escalate && o.Err != nil && to != "" {
+			global(name+"→"+to, to, cfg)
+			out[len(out)-1].EscalatedFrom = name
+		}
 	}
-	rr := global("rr", func() (map[X]D, solver.Stats, error) { return solver.RR(sys, l, op, init, cfg) })
-	escalate(rr, "srr", func() (map[X]D, solver.Stats, error) { return solver.SRR(sys, l, op, init, cfg) })
-	w := global("w", func() (map[X]D, solver.Stats, error) { return solver.W(sys, l, op, init, cfg) })
-	escalate(w, "sw", func() (map[X]D, solver.Stats, error) { return solver.SW(sys, l, op, init, cfg) })
-	global("srr", func() (map[X]D, solver.Stats, error) { return solver.SRR(sys, l, op, init, cfg) })
-	global("sw", func() (map[X]D, solver.Stats, error) { return solver.SW(sys, l, op, init, cfg) })
-	for _, w := range opt.Workers {
-		w := w
-		pcfg := cfg
-		pcfg.Workers = w
-		global(fmt.Sprintf("psw/w=%d", w), func() (map[X]D, solver.Stats, error) {
-			return solver.PSW(sys, l, op, init, pcfg)
-		})
-	}
-	global("slr2", func() (map[X]D, solver.Stats, error) { return solver.SLR2(sys, l, op, init, cfg) })
-	global("slr3", func() (map[X]D, solver.Stats, error) { return solver.SLR3(sys, l, op, init, cfg) })
-	global("slr4", func() (map[X]D, solver.Stats, error) { return solver.SLR4(sys, l, op, init, cfg) })
 
 	if n := sys.Len(); n > 0 {
 		query := sys.Order()[n-1]

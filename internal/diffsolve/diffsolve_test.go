@@ -255,13 +255,7 @@ func TestNonTerminationRegressionExamples(t *testing.T) {
 	for _, c := range cases {
 		sys := loadNatExample(t, c.file)
 
-		var err error
-		switch c.diverges {
-		case "rr":
-			_, _, err = solver.RR(sys, l, op, init, budget)
-		case "w":
-			_, _, err = solver.W(sys, l, op, init, budget)
-		}
+		_, _, err := solver.Run(c.diverges, sys, l, op, init, budget)
 		if !errors.Is(err, solver.ErrEvalBudget) {
 			t.Errorf("%s: %s with ⊟ should exhaust its budget, got %v", c.file, c.diverges, err)
 		}

@@ -47,25 +47,6 @@ func (r *editRNG) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// runScratch runs one global solver from scratch with the structured ⊟
-// operator — the same dispatch the incremental engine uses, so scratch and
-// incremental runs are comparable bit for bit.
-func runScratch[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D, name string, cfg solver.Config) (map[X]D, solver.Stats, error) {
-	op := solver.WarrowOp[X](l)
-	switch name {
-	case "rr":
-		return solver.RR(sys, l, op, init, cfg)
-	case "w":
-		return solver.W(sys, l, op, init, cfg)
-	case "srr":
-		return solver.SRR(sys, l, op, init, cfg)
-	case "sw":
-		return solver.SW(sys, l, op, init, cfg)
-	default:
-		return solver.PSW(sys, l, op, init, cfg)
-	}
-}
-
 // incrEngine is one cell of the incremental test matrix: an engine plus the
 // solver configuration it always runs under.
 type incrEngine[D any] struct {
@@ -163,7 +144,7 @@ func checkIncremental[D any](l lattice.Lattice[D], g eqgen.System, sys *eqn.Syst
 				continue
 			}
 			res, rerr := en.e.Resolve(en.cfg)
-			scratch, scratchSt, serr := runScratch(l, sys, en.e.Init(), en.e.SolverName(), en.cfg)
+			scratch, scratchSt, serr := solver.Run(en.e.SolverName(), sys, l, solver.WarrowOp[int](l), en.e.Init(), en.cfg)
 			if rerr != nil {
 				if !acceptableAbort(rerr) {
 					return fmt.Errorf("%s gen %d: resolve: %w", en.name, gen, rerr)
@@ -363,7 +344,7 @@ func checkIncrementalResume[D any](l lattice.Lattice[D], g eqgen.System, sys *eq
 			}
 		}
 		// The uninterrupted incremental result must itself match scratch.
-		scratch, _, serr := runScratch(l, sys, c.ref.Init(), c.ref.SolverName(), c.cfg)
+		scratch, _, serr := solver.Run(c.ref.SolverName(), sys, l, solver.WarrowOp[int](l), c.ref.Init(), c.cfg)
 		if serr != nil {
 			return fmt.Errorf("%s: scratch control: %w", c.name, serr)
 		}

@@ -32,26 +32,34 @@ func CheckResume[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D
 	op := solver.Op[X](solver.Warrow[D](l))
 	cfg := solver.Config{MaxEvals: opt.MaxEvals}
 
+	// SLR2–4 checkpoints are warm restarts, and CPW is certified, not
+	// bit-pinned (CheckCPW resumes it); the other global solvers resume
+	// exactly, PSW at every worker count.
 	type runner struct {
-		name string
-		run  func(solver.Config) (map[X]D, solver.Stats, error)
+		name, solverName string
+		cfg              solver.Config
 	}
-	runners := []runner{
-		{"rr", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.RR(sys, l, op, init, c) }},
-		{"w", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.W(sys, l, op, init, c) }},
-		{"srr", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.SRR(sys, l, op, init, c) }},
-		{"sw", func(c solver.Config) (map[X]D, solver.Stats, error) { return solver.SW(sys, l, op, init, c) }},
-	}
-	for _, wk := range opt.Workers {
-		wk := wk
-		runners = append(runners, runner{fmt.Sprintf("psw/w=%d", wk), func(c solver.Config) (map[X]D, solver.Stats, error) {
+	var runners []runner
+	for _, name := range solver.Globals {
+		if !solver.ExactResume(name) || name == "cpw" {
+			continue
+		}
+		if name != "psw" {
+			runners = append(runners, runner{name, name, cfg})
+			continue
+		}
+		for _, wk := range opt.Workers {
+			c := cfg
 			c.Workers = wk
-			return solver.PSW(sys, l, op, init, c)
-		}})
+			runners = append(runners, runner{fmt.Sprintf("psw/w=%d", wk), name, c})
+		}
 	}
 
 	for _, r := range runners {
-		ref, refSt, refErr := r.run(cfg)
+		run := func(c solver.Config) (map[X]D, solver.Stats, error) {
+			return solver.Run(r.solverName, sys, l, op, init, c)
+		}
+		ref, refSt, refErr := run(r.cfg)
 		if refErr != nil {
 			if !acceptableAbort(refErr) {
 				return fmt.Errorf("%s: unexpected error: %w", r.name, refErr)
@@ -62,9 +70,9 @@ func CheckResume[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D
 			continue
 		}
 		for _, budget := range abortPoints(refSt.Evals) {
-			c := cfg
+			c := r.cfg
 			c.MaxEvals = budget
-			_, _, err := r.run(c)
+			_, _, err := run(c)
 			if err == nil {
 				return fmt.Errorf("%s: budget %d of %d did not abort", r.name, budget, refSt.Evals)
 			}
@@ -82,9 +90,9 @@ func CheckResume[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D
 					return fmt.Errorf("%s: unmarshal at budget %d: %w", r.name, budget, merr)
 				}
 			}
-			rc := cfg
+			rc := r.cfg
 			rc.Resume = cp
-			got, gotSt, err := r.run(rc)
+			got, gotSt, err := run(rc)
 			if err != nil {
 				return fmt.Errorf("%s: resume from budget %d failed: %w", r.name, budget, err)
 			}

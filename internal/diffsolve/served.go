@@ -18,12 +18,9 @@ import (
 // status, same encoded values, same Evals and Updates — even when the
 // served solve was preempted at quantum boundaries and resumed from
 // checkpoints along the way. The daemon fixes ⊟ with the diffsolve
-// conventions (ConstBottom init, PSW with 2 workers), so agreement is exact
-// identity, not up-to-post-solution equivalence.
-
-// servedPSWWorkers mirrors the daemon's fixed PSW pool size; the local
-// control run must use the same value for the bit-identity claim to hold.
-const servedPSWWorkers = 2
+// conventions (ConstBottom init, serve.SolveWorkers workers), and every local
+// control runs with the same settings, so agreement is exact identity, not
+// up-to-post-solution equivalence.
 
 // CheckServed solves the recipe with each named solver locally and through
 // the client's daemon, and returns the first disagreement. maxEvals bounds
@@ -51,11 +48,8 @@ func checkServedTyped[D any](c *serve.Client, cfg eqgen.Config, sys *eqn.System[
 	op := solver.Op[int](solver.Warrow[D](l))
 	init := eqn.ConstBottom[int, D](l)
 	for _, name := range solvers {
-		scfg := solver.Config{MaxEvals: maxEvals}
-		if name == "psw" {
-			scfg.Workers = servedPSWWorkers
-		}
-		sigma, st, lerr := runLocal(name, sys, l, op, init, scfg)
+		scfg := solver.Config{MaxEvals: maxEvals, Workers: serve.SolveWorkers}
+		sigma, st, lerr := solver.Run(name, sys, l, op, init, scfg)
 
 		resp, derr := c.Do(&proto.Request{Solver: name, Source: proto.SourceGen, Gen: &cfg, MaxEvals: maxEvals})
 		if derr != nil {
@@ -154,11 +148,7 @@ func checkResumeTyped[D any](c *serve.Client, cfg eqgen.Config, sys *eqn.System[
 
 	op := solver.Op[int](solver.Warrow[D](l))
 	init := eqn.ConstBottom[int, D](l)
-	scfg := solver.Config{}
-	if name == "psw" {
-		scfg.Workers = servedPSWWorkers
-	}
-	sigma, st, lerr := runLocal(name, sys, l, op, init, scfg)
+	sigma, st, lerr := solver.Run(name, sys, l, op, init, solver.Config{Workers: serve.SolveWorkers})
 	if lerr != nil {
 		return fmt.Errorf("local control run: %w", lerr)
 	}
@@ -173,30 +163,4 @@ func checkResumeTyped[D any](c *serve.Client, cfg eqgen.Config, sys *eqn.System[
 		}
 	}
 	return nil
-}
-
-// runLocal dispatches to the named global solver — the in-process control
-// the served runs are held against.
-func runLocal[D any](name string, sys *eqn.System[int, D], l lattice.Lattice[D],
-	op solver.Operator[int, D], init func(int) D, cfg solver.Config) (map[int]D, solver.Stats, error) {
-	switch name {
-	case "rr":
-		return solver.RR(sys, l, op, init, cfg)
-	case "w":
-		return solver.W(sys, l, op, init, cfg)
-	case "srr":
-		return solver.SRR(sys, l, op, init, cfg)
-	case "sw":
-		return solver.SW(sys, l, op, init, cfg)
-	case "psw":
-		return solver.PSW(sys, l, op, init, cfg)
-	case "slr2":
-		return solver.SLR2(sys, l, op, init, cfg)
-	case "slr3":
-		return solver.SLR3(sys, l, op, init, cfg)
-	case "slr4":
-		return solver.SLR4(sys, l, op, init, cfg)
-	default:
-		return nil, solver.Stats{}, fmt.Errorf("unknown solver %q", name)
-	}
 }

@@ -174,7 +174,7 @@ func GiantFraction[X comparable, D any](sys *eqn.System[X, D]) float64 {
 	return float64(best) / float64(n)
 }
 
-// CPWSpeedup runs PSW (whose stratified scheduler finds nothing to
+// CPWSpeedup runs PSW once (its stratified scheduler finds nothing to
 // parallelize in a single-SCC system) and CPW at the given worker counts on
 // GiantSCCSystem(chains, length, fan, work) and reports each run's counts.
 // Every CPW result is certified as a post-solution before its row is
@@ -192,17 +192,16 @@ func CPWSpeedup(chains, length, fan, work int, workerCounts []int) ([]PerfRow, f
 	name := fmt.Sprintf("giant(%dx%d,fan=%d,work=%d)", chains, length, fan, work)
 	frac := GiantFraction(sys)
 
-	var rows []PerfRow
-	for _, w := range []int{1, 4} {
-		_, st, err := solver.PSW(sys, l, op(), init, solver.Config{Workers: w, Timeout: SolveTimeout})
-		if err != nil {
-			return nil, frac, fmt.Errorf("%s: PSW workers=%d: %w", name, w, err)
-		}
-		rows = append(rows, PerfRow{
-			Name: name, Solver: "psw", Workers: st.Workers,
-			Evals: st.Evals, Updates: st.Updates, Unknowns: st.Unknowns,
-		})
+	// PSW clamps its pool to the stratum count, so on the ring's single
+	// stratum every worker count is the one-worker run.
+	_, st, err := solver.PSW(sys, l, op(), init, solver.Config{Workers: 1, Timeout: SolveTimeout})
+	if err != nil {
+		return nil, frac, fmt.Errorf("%s: PSW: %w", name, err)
 	}
+	rows := []PerfRow{{
+		Name: name, Solver: "psw", Workers: st.Workers,
+		Evals: st.Evals, Updates: st.Updates, Unknowns: st.Unknowns,
+	}}
 	for _, w := range workerCounts {
 		sigma, st, err := solver.CPW(sys, l, op(), init, solver.Config{Workers: w, Timeout: SolveTimeout})
 		if err != nil {

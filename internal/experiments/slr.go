@@ -130,21 +130,7 @@ func slrWCETBench(b wcet.Benchmark) (struct {
 	}
 	runs := map[string]run{}
 	for _, name := range slrSolvers {
-		var (
-			sigma map[analysis.Key]analysis.Env
-			st    solver.Stats
-			rerr  error
-		)
-		switch name {
-		case "sw":
-			sigma, st, rerr = solver.SW(sys, l, op, init, cfgS)
-		case "slr2":
-			sigma, st, rerr = solver.SLR2(sys, l, op, init, cfgS)
-		case "slr3":
-			sigma, st, rerr = solver.SLR3(sys, l, op, init, cfgS)
-		case "slr4":
-			sigma, st, rerr = solver.SLR4(sys, l, op, init, cfgS)
-		}
+		sigma, st, rerr := solver.Run(name, sys, l, op, init, cfgS)
 		if rerr != nil {
 			return out, fmt.Errorf("%s: %s: %w", b.Name, name, rerr)
 		}
@@ -231,21 +217,7 @@ func slrEqgenMatrix(totals map[string]int, smoke bool) error {
 			sys := eqgen.IntervalSystem(shape)
 			cfgS := solver.Config{MaxEvals: 20_000_000, Timeout: SolveTimeout}
 			for _, name := range slrSolvers {
-				var (
-					sigma map[int]lattice.Interval
-					st    solver.Stats
-					err   error
-				)
-				switch name {
-				case "sw":
-					sigma, st, err = solver.SW(sys, l, op, init, cfgS)
-				case "slr2":
-					sigma, st, err = solver.SLR2(sys, l, op, init, cfgS)
-				case "slr3":
-					sigma, st, err = solver.SLR3(sys, l, op, init, cfgS)
-				case "slr4":
-					sigma, st, err = solver.SLR4(sys, l, op, init, cfgS)
-				}
+				sigma, st, err := solver.Run(name, sys, l, op, init, cfgS)
 				if err != nil {
 					return fmt.Errorf("slr eqgen n=%d seed=%d: %s: %w", n, seed, name, err)
 				}

@@ -185,12 +185,7 @@ func (e *Engine[X, D]) full(cfg solver.Config) (solver.Stats, error) {
 		}
 		return st, err
 	}
-	op := solver.WarrowOp[X](e.l)
-	solve := solver.RR[X, D]
-	if e.solverName == "w" {
-		solve = solver.W[X, D]
-	}
-	sigma, st, err := solve(e.sys, e.l, op, e.Init(), cfg)
+	sigma, st, err := solver.Run(e.solverName, e.sys, e.l, solver.WarrowOp[X](e.l), e.Init(), cfg)
 	if err != nil {
 		return st, err
 	}

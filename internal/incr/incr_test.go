@@ -34,21 +34,7 @@ var l = lattice.Ints
 
 func scratch(t *testing.T, e *Engine[int, lattice.Interval], sys *eqn.System[int, lattice.Interval], cfg solver.Config) map[int]lattice.Interval {
 	t.Helper()
-	op := solver.WarrowOp[int](l)
-	var sigma map[int]lattice.Interval
-	var err error
-	switch e.SolverName() {
-	case "rr":
-		sigma, _, err = solver.RR(sys, l, op, e.Init(), cfg)
-	case "srr":
-		sigma, _, err = solver.SRR(sys, l, op, e.Init(), cfg)
-	case "sw":
-		sigma, _, err = solver.SW(sys, l, op, e.Init(), cfg)
-	case "psw":
-		sigma, _, err = solver.PSW(sys, l, op, e.Init(), cfg)
-	default:
-		t.Fatalf("no scratch dispatch for %s", e.SolverName())
-	}
+	sigma, _, err := solver.Run(e.SolverName(), sys, l, solver.WarrowOp[int](l), e.Init(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

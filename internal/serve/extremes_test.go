@@ -54,13 +54,9 @@ func compareServed[X comparable, D any](t *testing.T, what string, resp *proto.R
 	}
 }
 
-// controlCfg is the local control's configuration for a served solver.
-func controlCfg(name string, resume any) solver.Config {
-	cfg := solver.Config{Resume: resume}
-	if name == "psw" {
-		cfg.Workers = pswWorkers
-	}
-	return cfg
+// controlCfg is the local control's configuration for a served solve.
+func controlCfg(resume any) solver.Config {
+	return solver.Config{Resume: resume, Workers: SolveWorkers}
 }
 
 // TestServedIntervalExtremes: a served .eq solve that reaches an interval
@@ -94,7 +90,7 @@ func TestServedIntervalExtremes(t *testing.T) {
 	srv, addr := startServer(t, Options{Workers: 1, Quantum: 7})
 	c := dialT(t, addr)
 	for _, name := range []string{"sw", "srr", "psw", "slr3"} {
-		want, wantSt, err := runByName(name, sys, l, boxed, init, controlCfg(name, nil))
+		want, wantSt, err := solver.Run(name, sys, l, boxed, init, controlCfg(nil))
 		if err != nil {
 			t.Fatalf("%s: boxed control: %v", name, err)
 		}
@@ -133,7 +129,7 @@ func TestServedResumeIntervalExtreme(t *testing.T) {
 	srv, addr := startServer(t, Options{Workers: 1, Quantum: 7})
 	c := dialT(t, addr)
 	for _, name := range []string{"rr", "w", "srr", "sw", "psw"} {
-		_, fullSt, err := runByName(name, sys, l, boxed, init, controlCfg(name, nil))
+		_, fullSt, err := solver.Run(name, sys, l, boxed, init, controlCfg(nil))
 		if err != nil {
 			t.Fatalf("%s: boxed control: %v", name, err)
 		}
@@ -151,7 +147,7 @@ func TestServedResumeIntervalExtreme(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantSt, err := runByName(name, sys, l, boxed, init, controlCfg(name, cp))
+		want, wantSt, err := solver.Run(name, sys, l, boxed, init, controlCfg(cp))
 		if err != nil {
 			t.Fatalf("%s: boxed control resume: %v", name, err)
 		}
@@ -202,7 +198,7 @@ func TestServedResumePowersetForeign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantSt, err := runByName(name, sys, l, boxed, init, controlCfg(name, cp))
+		want, wantSt, err := solver.Run(name, sys, l, boxed, init, controlCfg(cp))
 		if err != nil {
 			t.Fatalf("%s: boxed control resume: %v", name, err)
 		}

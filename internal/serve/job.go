@@ -21,16 +21,13 @@ import (
 	"warrow/internal/solver"
 )
 
-// pswWorkers fixes the PSW worker-pool size of served solves. The daemon
-// already multiplexes requests across its own worker pool, so each PSW run
-// gets a small fixed pool instead of GOMAXPROCS — and a fixed size keeps
-// served Stats comparable to a local control run with the same setting.
-const pswWorkers = 2
-
-// cpwWorkers fixes the CPW worker-pool size of served solves, for the same
-// reason as pswWorkers. CPW results are certified rather than bit-pinned,
-// so the fixed size buys bounded goroutine fan-out, not reproducibility.
-const cpwWorkers = 2
+// SolveWorkers is the Config.Workers of every served solve, which only PSW
+// and CPW read. The daemon already multiplexes requests across its own
+// worker pool, so each solve gets a small fixed pool instead of GOMAXPROCS.
+// A local control run with the same setting reproduces a served PSW solve's
+// Stats; CPW results are certified rather than bit-pinned, so for CPW the
+// fixed size buys bounded goroutine fan-out, not reproducibility.
+const SolveWorkers = 2
 
 // outcome is the result of one scheduling slice of a job.
 type outcome struct {
@@ -77,9 +74,9 @@ type solveJob[X comparable, D any] struct {
 }
 
 func (j *solveJob[X, D]) runSlice(ctx context.Context, quantum int) outcome {
-	cfg := solver.Config{Ctx: ctx, MaxFlips: j.maxFlips, MaxEvals: j.maxEvals}
+	cfg := solver.Config{Ctx: ctx, MaxFlips: j.maxFlips, MaxEvals: j.maxEvals, Workers: SolveWorkers}
 	finalSlice := true
-	if quantum > 0 && proto.Preemptible(j.solverName) {
+	if quantum > 0 && solver.ExactResume(j.solverName) {
 		if slice := j.done + quantum; j.maxEvals <= 0 || slice < j.maxEvals {
 			// Budgets are cumulative across a resume (the checkpoint
 			// restores the evaluation count), so the slice bound is an
@@ -88,16 +85,10 @@ func (j *solveJob[X, D]) runSlice(ctx context.Context, quantum int) outcome {
 			finalSlice = false
 		}
 	}
-	if j.solverName == "psw" {
-		cfg.Workers = pswWorkers
-	}
-	if j.solverName == "cpw" {
-		cfg.Workers = cpwWorkers
-	}
 	if j.cp != nil {
 		cfg.Resume = j.cp
 	}
-	sigma, st, err := runByName(j.solverName, j.sys, j.l, j.op, j.init, cfg)
+	sigma, st, err := solver.Run(j.solverName, j.sys, j.l, j.op, j.init, cfg)
 	if err == nil {
 		values := make(map[string]string, len(sigma))
 		for x, d := range sigma {
@@ -138,32 +129,6 @@ func (j *solveJob[X, D]) runSlice(ctx context.Context, quantum int) outcome {
 		}
 	}
 	return outcome{final: true, resp: resp}
-}
-
-// runByName dispatches to the named global solver entry point.
-func runByName[X comparable, D any](name string, sys *eqn.System[X, D], l lattice.Lattice[D], op solver.Operator[X, D], init func(X) D, cfg solver.Config) (map[X]D, solver.Stats, error) {
-	switch name {
-	case "rr":
-		return solver.RR(sys, l, op, init, cfg)
-	case "w":
-		return solver.W(sys, l, op, init, cfg)
-	case "srr":
-		return solver.SRR(sys, l, op, init, cfg)
-	case "sw":
-		return solver.SW(sys, l, op, init, cfg)
-	case "psw":
-		return solver.PSW(sys, l, op, init, cfg)
-	case "cpw":
-		return solver.CPW(sys, l, op, init, cfg)
-	case "slr2":
-		return solver.SLR2(sys, l, op, init, cfg)
-	case "slr3":
-		return solver.SLR3(sys, l, op, init, cfg)
-	case "slr4":
-		return solver.SLR4(sys, l, op, init, cfg)
-	default:
-		return nil, solver.Stats{}, fmt.Errorf("serve: unknown solver %q", name)
-	}
 }
 
 // buildJob turns a validated request into a typed job: parse or generate

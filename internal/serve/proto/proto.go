@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"warrow/internal/chaos"
@@ -98,35 +99,6 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// Solvers lists the solver names a request may carry: the entry points over
-// parsed/generated systems that the daemon can run. All but the slr2–4
-// family support exact checkpoint resume and are therefore preemptible;
-// slr2–4 run each request in one slice.
-var Solvers = []string{"rr", "w", "srr", "sw", "psw", "cpw", "slr2", "slr3", "slr4"}
-
-// Preemptible reports whether the named solver supports exact checkpoint
-// resume, which is what quantum preemption and client-side resume rely on.
-// cpw's resume handles are quiesce-and-drain snapshots: exact in the sense
-// that the resumed run restores every suspended unknown, not that it replays
-// the same worker interleaving (cpw results are certified, not bit-pinned).
-func Preemptible(solverName string) bool {
-	switch solverName {
-	case "rr", "w", "srr", "sw", "psw", "cpw":
-		return true
-	}
-	return false
-}
-
-// knownSolver reports whether name is in Solvers.
-func knownSolver(name string) bool {
-	for _, s := range Solvers {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Source values of a Request.
 const (
 	// SourceEq: the request carries an eqdsl system file in System.
@@ -142,7 +114,7 @@ const (
 type Request struct {
 	// ID is echoed verbatim in the matching Response.
 	ID uint64 `json:"id"`
-	// Solver names the entry point (see Solvers).
+	// Solver names the entry point, one of solver.Globals.
 	Solver string `json:"solver"`
 	// Source says how the system is carried: SourceEq or SourceGen.
 	Source string `json:"source"`
@@ -173,7 +145,7 @@ func (r *Request) Timeout() time.Duration { return time.Duration(r.TimeoutNs) }
 // Validate rejects structurally malformed requests before any solving
 // state is allocated for them.
 func (r *Request) Validate() error {
-	if !knownSolver(r.Solver) {
+	if !slices.Contains(solver.Globals, r.Solver) {
 		return fmt.Errorf("proto: unknown solver %q", r.Solver)
 	}
 	switch r.Source {
@@ -200,7 +172,7 @@ func (r *Request) Validate() error {
 	if r.MaxEvals < 0 || r.TimeoutNs < 0 || r.MaxFlips < 0 {
 		return errors.New("proto: negative bound")
 	}
-	if r.Checkpoint != "" && !Preemptible(r.Solver) {
+	if r.Checkpoint != "" && !solver.ExactResume(r.Solver) {
 		return fmt.Errorf("proto: solver %q does not support exact resume", r.Solver)
 	}
 	return nil

@@ -80,7 +80,7 @@ func TestServeSoak(t *testing.T) {
 					reasons[resp.Abort.Reason.String()]++
 					// Complete-certified-or-resumable: preemptible solver
 					// aborts must carry a resumable handle.
-					if proto.Preemptible(req.Solver) && resp.Checkpoint == "" {
+					if solver.ExactResume(req.Solver) && resp.Checkpoint == "" {
 						t.Errorf("aborted %s solve carries no checkpoint (reason %s)", req.Solver, resp.Abort.Reason)
 					}
 				}

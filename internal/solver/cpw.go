@@ -77,14 +77,12 @@ import (
 // and the other structured operators) are; the stateful Degrading operator
 // is not and requires Workers == 1.
 func CPW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) { return cpw(sys, l, op, init, cfg) })
+	return Run("cpw", sys, l, op, init, cfg)
 }
 
-// cpw is one CPW run on the shared value store buildCore picks.
-func cpw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	start := time.Now()
-	vc, wd := buildCore(sys, l, op, init, cfg, true)
-	defer vc.release()
+// cpwLoop is CPW's run over a built core on the shared store; start is
+// when the run began, for Stats.WallNs.
+func cpwLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (map[X]D, Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	dec := sc.decomposition()

@@ -2,15 +2,11 @@ package solver
 
 import (
 	"fmt"
-
-	"warrow/internal/eqn"
-	"warrow/internal/lattice"
+	"time"
 )
 
-// rrDense is RR (Fig. 1) on the compiled representation.
-func rrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	vc, wd := buildCore(sys, l, op, init, cfg, false)
-	defer vc.release()
+// rrLoop is RR's loop (Fig. 1) over a built core.
+func rrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	ck := newCkptSink(cfg)
@@ -76,11 +72,9 @@ func rrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], o
 	}
 }
 
-// wDense is W (Fig. 2) on the compiled representation: the LIFO stack holds
-// order positions and the membership set is a bitset.
-func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	vc, wd := buildCore(sys, l, op, init, cfg, false)
-	defer vc.release()
+// wLoop is W's loop (Fig. 2) over a built core: the LIFO stack holds order
+// positions and the membership set is a bitset.
+func wLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	ck := newCkptSink(cfg)
@@ -162,16 +156,8 @@ func wDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op
 	return vc.sigmaMap(), st, nil
 }
 
-// srrDense is SRR (Fig. 3) on the compiled representation.
-func srrDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	vc, wd := buildCore(sys, l, op, init, cfg, false)
-	defer vc.release()
-	return srrLoop(vc, wd, cfg)
-}
-
-// srrLoop is SRR's loop over a built core, shared by srrDense and the
-// incremental engine's live store (Live).
-func srrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config) (map[X]D, Stats, error) {
+// srrLoop is SRR's loop (Fig. 3) over a built core.
+func srrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	ck := newCkptSink(cfg)
@@ -235,18 +221,10 @@ func srrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config
 	return vc.sigmaMap(), st, err
 }
 
-// swDense is SW (Fig. 4) on the compiled representation: the index-ordered
-// binary heap collapses into the monotone bucket queue, because an
-// unknown's priority is exactly its order position.
-func swDense[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	vc, wd := buildCore(sys, l, op, init, cfg, false)
-	defer vc.release()
-	return swLoop(vc, wd, cfg)
-}
-
-// swLoop is SW's loop over a built core, shared by swDense and the
-// incremental engine's live store (Live).
-func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config) (map[X]D, Stats, error) {
+// swLoop is SW's loop (Fig. 4) over a built core: the index-ordered binary
+// heap collapses into the monotone bucket queue, because an unknown's
+// priority is exactly its order position.
+func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	ck := newCkptSink(cfg)

@@ -22,7 +22,7 @@ import (
 // boxed values or raw machine words (see valuerep.go); both produce
 // bit-identical results, Stats and checkpoints.
 func RR[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) { return rrDense(sys, l, op, init, cfg) })
+	return Run("rr", sys, l, op, init, cfg)
 }
 
 // W is the worklist solver of Fig. 2 with a LIFO discipline: when the value
@@ -31,7 +31,7 @@ func RR[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Ope
 // solver, but with ⊟ it may fail to terminate even on finite monotonic
 // systems (Example 2).
 func W[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) { return wDense(sys, l, op, init, cfg) })
+	return Run("w", sys, l, op, init, cfg)
 }
 
 // SRR is the structured round-robin solver of Fig. 3: solve(i) first solves
@@ -47,7 +47,7 @@ func W[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Oper
 // frames from the outside in and continues the interrupted iteration
 // exactly — the resumed run is bit-identical to an uninterrupted one.
 func SRR[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) { return srrDense(sys, l, op, init, cfg) })
+	return Run("srr", sys, l, op, init, cfg)
 }
 
 // SW is the structured worklist solver of Fig. 4: unknowns awaiting
@@ -57,7 +57,7 @@ func SRR[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 // monotonic system (Theorem 2). On the compiled representation the heap
 // collapses into a bucket queue over the order positions.
 func SW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) { return swDense(sys, l, op, init, cfg) })
+	return Run("sw", sys, l, op, init, cfg)
 }
 
 // TwoPhase is the classical Cousot–Cousot regime used as the paper's

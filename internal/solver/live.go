@@ -122,16 +122,8 @@ func (lv *Live[X, D]) run(pos []int, cfg Config, vals map[X]D) (Stats, error) {
 		lv.reset(&sc)
 	}
 	vc, wd := lv.core(sh, sc, cfg)
-	var st Stats
-	var err error
-	switch lv.name {
-	case "srr":
-		_, st, err = srrLoop(vc, wd, cfg)
-	case "sw":
-		_, st, err = swLoop(vc, wd, cfg)
-	default:
-		_, st, err = pswLoop(vc, wd, cfg, start)
-	}
+	lp, _ := loopOf[X, D](lv.name)
+	_, st, err := lp(vc, wd, cfg, start)
 	if err != nil {
 		lv.restore(&sc)
 		return st, err

@@ -476,9 +476,9 @@ type Config struct {
 	Core Core
 	// Resume, when non-nil, must hold a *Checkpoint[X, D] captured by the
 	// same solver on a system with the same shape; the solver continues the
-	// interrupted iteration (exactly for RR, W, SRR, SW, PSW; as a warm
-	// restart for RLD, SLR, SLR⁺) instead of starting fresh. A mismatched
-	// checkpoint fails the solve with ErrBadCheckpoint.
+	// interrupted iteration (exactly for the solvers ExactResume names; as
+	// a warm restart for SLR2–4, RLD, SLR and SLR⁺) instead of starting
+	// fresh. A mismatched checkpoint fails the solve with ErrBadCheckpoint.
 	Resume any
 
 	// deadline pins the absolute wall-clock bound once the first phase of a

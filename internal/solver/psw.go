@@ -72,19 +72,10 @@ import (
 // captured queues, reproducing the uninterrupted run's Evals, Updates,
 // MaxQueue and assignment exactly (PSW totals are schedule-independent).
 func PSW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) { return psw(sys, l, op, init, cfg) })
+	return Run("psw", sys, l, op, init, cfg)
 }
 
-// psw is one PSW run on the value store buildCore picks.
-func psw[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	start := time.Now()
-	vc, wd := buildCore(sys, l, op, init, cfg, false)
-	defer vc.release()
-	return pswLoop(vc, wd, cfg, start)
-}
-
-// pswLoop is PSW's run over a built core, shared by psw and the
-// incremental engine's live store (Live); start is when the run began, for
+// pswLoop is PSW's run over a built core; start is when the run began, for
 // Stats.WallNs.
 func pswLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (map[X]D, Stats, error) {
 	sc := vc.scope()

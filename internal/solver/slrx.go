@@ -24,7 +24,7 @@
 //
 // All three iterate with the recursive strategy the decomposition induces —
 // stabilize a component completely before its surrounding component
-// re-evaluates — through one shared loop (slrxSolve) over the value-store
+// re-evaluates — through one shared loop (slrxLoop) over the value-store
 // seam of the other global solvers (execCore, boxed values or raw words);
 // there is no second implementation of the iteration logic. Results
 // certify as post-solutions via internal/certify whenever the run
@@ -294,7 +294,7 @@ const (
 // post-solution whenever the run terminates, generally pointwise below
 // SW's.
 func SLR2[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return slrxRun(sys, l, op, init, cfg, "slr2", restartNone)
+	return Run("slr2", sys, l, op, init, cfg)
 }
 
 // SLR3 is SLR2 plus restarting narrowing: when a widening point's value
@@ -302,14 +302,14 @@ func SLR2[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op O
 // after it is reset to its initial value and rescheduled (Amato et al.,
 // SLR3). Stats.Restarts counts the resets.
 func SLR3[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return slrxRun(sys, l, op, init, cfg, "slr3", restartAll)
+	return Run("slr3", sys, l, op, init, cfg)
 }
 
 // SLR4 is SLR3 with the restart localized to the widening point's own
 // component: unknowns outside it are rescheduled but keep their values
 // (Amato et al., SLR4-style localization).
 func SLR4[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config) (map[X]D, Stats, error) {
-	return slrxRun(sys, l, op, init, cfg, "slr4", restartSCC)
+	return Run("slr4", sys, l, op, init, cfg)
 }
 
 // slrFrame is one active component of the recursive iteration strategy:
@@ -322,23 +322,17 @@ type slrFrame struct {
 	base int
 }
 
-// slrxRun is the one shared iteration of the family: the recursive
-// strategy over the hierarchical decomposition (an explicit frame stack —
-// component nesting can track system size, so no recursion), evaluating
-// only dirty unknowns (those whose inputs changed since their last
-// evaluation), with the update operator gated on the widening-point set
-// and (SLR3/SLR4) the iterative, once-per-point restart cascade.
-func slrxRun[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config, name string, mode restartMode) (map[X]D, Stats, error) {
-	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) { return slrxSolve(sys, l, op, init, cfg, name, mode) })
-}
-
-// slrxSolve is one slrxRun on the value store buildCore picks.
-func slrxSolve[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config, name string, mode restartMode) (map[X]D, Stats, error) {
-	core, wd := buildCore(sys, l, op, init, cfg, false)
-	defer core.release()
+// slrxLoop is the one shared iteration of the family over a built core:
+// the recursive strategy over the hierarchical decomposition (an explicit
+// frame stack — component nesting can track system size, so no
+// recursion), evaluating only dirty unknowns (those whose inputs changed
+// since their last evaluation), with the update operator gated on the
+// widening-point set and (SLR3/SLR4) the iterative, once-per-point restart
+// cascade. name is the member's checkpoint name and mode its restart.
+func slrxLoop[X comparable, D any](core execCore[X, D], wd *watchdog[X], cfg Config, name string, mode restartMode) (map[X]D, Stats, error) {
 	sc := core.scope()
 	n := sc.n
-	w := wpointsOf(sys)
+	w := wpointsOf(sc.sys)
 	ck := newCkptSink(cfg)
 	var st Stats
 	st.Unknowns = n
