@@ -1,13 +1,16 @@
 # Tier-1: the build/test gate every change must keep green. vet catches
-# dropped-error patterns; the GOARCH=386 cross-build catches 32-bit key
-# arithmetic regressions (the idHeap/bandKey int64 invariants) mechanically;
-# the gofmt step fails on any unformatted file. The perfbench module builds
-# against this one (replace warrow => ../) and uses its serve, proto, incr
-# and solver APIs, so it is built and vetted here too.
+# dropped-error patterns; the GOARCH=386 build, vet and solver tests catch
+# 32-bit key arithmetic regressions (the idHeap/bandKey int64 invariants)
+# mechanically, test files included; the gofmt step fails on any
+# unformatted file. The perfbench module builds against this one (replace
+# warrow => ../) and uses its serve, proto, incr and solver APIs, so it is
+# built and vetted here too.
 tier1:
 	go build ./... && go test ./...
 	go vet ./...
 	GOARCH=386 go build ./...
+	GOARCH=386 go vet ./...
+	GOARCH=386 go test ./internal/solver
 	test -z "$$(gofmt -l .)"
 	cd perfbench && go build ./... && go vet ./...
 

@@ -40,10 +40,7 @@ func runConnect[D any](addr string, f *eqdsl.File, sys *eqn.System[string, D], l
 		MaxFlips:  cfg.maxFlips,
 	}
 	if persist.resume != "" {
-		data, err := os.ReadFile(persist.resume)
-		if err != nil {
-			fatal(err)
-		}
+		_, data := readResume(persist.resume, cfg.solver, codec)
 		req.Checkpoint = string(data)
 		fmt.Printf("resuming from %s at %s\n", persist.resume, addr)
 	}

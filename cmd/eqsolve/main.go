@@ -225,6 +225,24 @@ func usage(msg string) {
 	os.Exit(2)
 }
 
+// readResume reads and decodes the -resume checkpoint, returning it with
+// the file's bytes. A checkpoint another solver wrote is a usage error: the
+// local and the served path refuse it alike, before printing anything.
+func readResume[D any](path, solverName string, codec solver.Codec[string, D]) (*solver.Checkpoint[string, D], []byte) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	cp, err := solver.UnmarshalCheckpoint[string, D](data, codec)
+	if err != nil {
+		fatal(err)
+	}
+	if cp.Solver != solverName {
+		usage(fmt.Sprintf("-solver %s cannot resume a %q checkpoint; rerun with -solver %s or start %s fresh", solverName, cp.Solver, cp.Solver, solverName))
+	}
+	return cp, data
+}
+
 // run dispatches on solver and operator names for a concrete domain.
 func run[D any](f *eqdsl.File, sys *eqn.System[string, D], l lattice.Lattice[D],
 	solverName, opName, query string, init func(string) D, cfg solver.Config, check, escalate bool,
@@ -240,17 +258,7 @@ func run[D any](f *eqdsl.File, sys *eqn.System[string, D], l lattice.Lattice[D],
 		}
 	}
 	if persist.resume != "" {
-		data, err := os.ReadFile(persist.resume)
-		if err != nil {
-			fatal(err)
-		}
-		cp, err := solver.UnmarshalCheckpoint[string, D](data, codec)
-		if err != nil {
-			fatal(err)
-		}
-		if cp.Solver != solverName {
-			usage(fmt.Sprintf("-solver %s cannot resume a %q checkpoint; rerun with -solver %s or start %s fresh", solverName, cp.Solver, cp.Solver, solverName))
-		}
+		cp, _ := readResume(persist.resume, solverName, codec)
 		cfg.Resume = cp
 		fmt.Printf("resuming %s from %s (%d evaluations done)\n", cp.Solver, persist.resume, cp.Evals)
 	}

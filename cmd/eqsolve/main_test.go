@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -371,15 +372,27 @@ func TestEqsolveRejectsForeignResume(t *testing.T) {
 	if err == nil {
 		t.Fatalf("expected budget abort:\n%s", out)
 	}
-	out, err = runEqsolve(t, "-solver", "sw", "-op", "warrow", "-resume", cp,
-		"../../examples/systems/example1.eq")
-	if code := exitCode(err); code != 2 {
-		t.Fatalf("exit code = %d, want 2:\n%s", code, out)
+	// The served path refuses the same mismatch before it dials: the
+	// address has no listener, so dialing would exit 1 instead.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(out, "eqsolve: usage:") || !strings.Contains(out, `"srr"`) || strings.Contains(out, "resuming") {
-		t.Errorf("not an actionable usage line:\n%s", out)
-	}
-	if n := strings.Count(strings.TrimSpace(out), "\n"); n != 0 {
-		t.Errorf("usage error spans %d extra lines:\n%s", n, out)
+	addr := ln.Addr().String()
+	ln.Close()
+	for _, args := range [][]string{
+		{"-solver", "sw", "-op", "warrow", "-resume", cp, "../../examples/systems/example1.eq"},
+		{"-connect", addr, "-solver", "sw", "-resume", cp, "../../examples/systems/example1.eq"},
+	} {
+		out, err = runEqsolve(t, args...)
+		if code := exitCode(err); code != 2 {
+			t.Fatalf("%v: exit code = %d, want 2:\n%s", args, code, out)
+		}
+		if !strings.HasPrefix(out, "eqsolve: usage:") || !strings.Contains(out, `"srr"`) || strings.Contains(out, "resuming") {
+			t.Errorf("%v: not an actionable usage line:\n%s", args, out)
+		}
+		if n := strings.Count(strings.TrimSpace(out), "\n"); n != 0 {
+			t.Errorf("%v: usage error spans %d extra lines:\n%s", args, n, out)
+		}
 	}
 }

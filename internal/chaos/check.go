@@ -165,14 +165,14 @@ func checkLocals[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D
 		}
 		return nil
 	}
-	certSides := func(sigma map[X]D) error { return certify.Sides(l, asSides(sys.AsPure()), sigma, init).Err() }
+	certSides := func(sigma map[X]D) error { return certify.Sides(l, sys.AsPure().AsSides(), sigma, init).Err() }
 	runners := []runner{
 		{"rld", rldRun, certRLD, nil},
 		{"slr", func(p eqn.Pure[X, D], c solver.Config) (solver.Result[X, D], error) {
 			return solver.SLR(p, l, op, init, query, c)
 		}, certPartial, certPartial},
 		{"slr+", func(p eqn.Pure[X, D], c solver.Config) (solver.Result[X, D], error) {
-			return solver.SLRPlus(asSides(p), l, op, init, query, c)
+			return solver.SLRPlus(p.AsSides(), l, op, init, query, c)
 		}, certSides, certSides},
 	}
 
@@ -216,17 +216,6 @@ func checkLocals[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D
 		verdicts = append(verdicts, v)
 	}
 	return verdicts, nil
-}
-
-// asSides views a pure system as a side-effecting one with no effects.
-func asSides[X comparable, D any](sys eqn.Pure[X, D]) eqn.Sides[X, D] {
-	return func(x X) eqn.SideRHS[X, D] {
-		rhs := sys(x)
-		if rhs == nil {
-			return nil
-		}
-		return func(get func(X) D, _ func(X, D)) D { return rhs(get) }
-	}
 }
 
 // runCaught converts an escaped panic — which the solvers' recover barrier

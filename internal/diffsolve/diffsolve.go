@@ -139,36 +139,50 @@ func RunAll[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], in
 		}
 	}
 
-	if n := sys.Len(); n > 0 {
-		query := sys.Order()[n-1]
-		res, err := solver.SLR(sys.AsPure(), l, op, init, query, cfg)
-		o := Outcome[X, D]{Solver: "slr", Values: res.Values, Stats: res.Stats, Err: err}
+	for _, ls := range localSolvers(l, sys, init) {
+		res, err := ls.run(cfg)
+		o := Outcome[X, D]{Solver: ls.name, Values: res.Values, Stats: res.Stats, Err: err}
 		if err == nil {
-			o.Report = certify.Partial(l, sys.AsPure(), res.Values, init)
+			o.Report = ls.certify(res.Values)
 		}
 		out = append(out, o)
-
-		sides := asSides(sys)
-		resP, errP := solver.SLRPlus(sides, l, op, init, query, cfg)
-		oP := Outcome[X, D]{Solver: "slr+", Values: resP.Values, Stats: resP.Stats, Err: errP}
-		if errP == nil {
-			oP.Report = certify.Sides(l, sides, resP.Values, init)
-		}
-		out = append(out, oP)
 	}
 	return out
 }
 
-// asSides views a finite pure system as a side-effecting system with no
-// side effects, so SLR⁺ can join the differential matrix.
-func asSides[X comparable, D any](sys *eqn.System[X, D]) eqn.Sides[X, D] {
-	return func(x X) eqn.SideRHS[X, D] {
-		rhs := sys.RHS(x)
-		if rhs == nil {
-			return nil
-		}
-		return func(get func(X) D, _ func(X, D)) D { return rhs(get) }
+// localSolver is one local solver of the matrix, queried for the last
+// unknown of the linear order under the combined operator ⊟.
+type localSolver[X comparable, D any] struct {
+	name    string
+	run     func(solver.Config) (solver.Result[X, D], error)
+	certify func(map[X]D) certify.Report[X, D]
+}
+
+// localSolvers lists SLR, certified through certify.Partial, and SLR⁺ on
+// the system viewed as side-effecting with no side effects, certified
+// through certify.Sides. An empty system has no query and lists none.
+func localSolvers[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D) []localSolver[X, D] {
+	n := sys.Len()
+	if n == 0 {
+		return nil
 	}
+	query := sys.Order()[n-1]
+	op := solver.Op[X](solver.Warrow[D](l))
+	pure := sys.AsPure()
+	sides := pure.AsSides()
+	return []localSolver[X, D]{{
+		name: "slr",
+		run: func(c solver.Config) (solver.Result[X, D], error) {
+			return solver.SLR(pure, l, op, init, query, c)
+		},
+		certify: func(sigma map[X]D) certify.Report[X, D] { return certify.Partial(l, pure, sigma, init) },
+	}, {
+		name: "slr+",
+		run: func(c solver.Config) (solver.Result[X, D], error) {
+			return solver.SLRPlus(sides, l, op, init, query, c)
+		},
+		certify: func(sigma map[X]D) certify.Report[X, D] { return certify.Sides(l, sides, sigma, init) },
+	}}
 }
 
 // Check runs the matrix and returns the differential verdict:
@@ -177,12 +191,14 @@ func asSides[X comparable, D any](sys *eqn.System[X, D]) eqn.Sides[X, D] {
 //   - PSW must agree with SW bit-for-bit — same termination status, same
 //     values, same Evals and Updates — for every tested worker count;
 //   - on an exhausted budget, PSW must have stopped at the budget exactly
-//     like SW does.
+//     like SW does;
+//   - SLR⁺ must agree with SLR, whose loop it runs: same termination
+//     status, values, Evals, Updates, MaxQueue and Unknowns.
 //
 // A nil error means the system produced no disagreement.
 func Check[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D, opt Options) error {
 	outcomes := RunAll(l, sys, init, opt)
-	var sw *Outcome[X, D]
+	var sw, slr, slrPlus *Outcome[X, D]
 	for i := range outcomes {
 		o := &outcomes[i]
 		if o.Err != nil && !acceptableAbort(o.Err) {
@@ -193,8 +209,13 @@ func Check[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], ini
 				return fmt.Errorf("%s: %w", o.Solver, err)
 			}
 		}
-		if o.Solver == "sw" {
+		switch o.Solver {
+		case "sw":
 			sw = o
+		case "slr":
+			slr = o
+		case "slr+":
+			slrPlus = o
 		}
 	}
 	if opt.Timeout > 0 {
@@ -224,6 +245,20 @@ func Check[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], ini
 			if !l.Eq(o.Values[x], sw.Values[x]) {
 				return fmt.Errorf("%s: value of %v = %s differs from sw = %s",
 					o.Solver, x, l.Format(o.Values[x]), l.Format(sw.Values[x]))
+			}
+		}
+	}
+	if slr != nil && slrPlus != nil {
+		a, b := slr.Stats, slrPlus.Stats
+		if (slr.Err == nil) != (slrPlus.Err == nil) || a.Evals != b.Evals || a.Updates != b.Updates || a.MaxQueue != b.MaxQueue || a.Unknowns != b.Unknowns {
+			return fmt.Errorf("slr+ (err=%v) evals/updates/maxqueue/unknowns %d/%d/%d/%d differ from slr (err=%v) %d/%d/%d/%d",
+				slrPlus.Err, b.Evals, b.Updates, b.MaxQueue, b.Unknowns, slr.Err, a.Evals, a.Updates, a.MaxQueue, a.Unknowns)
+		}
+		for _, x := range sys.Order() {
+			v, okA := slr.Values[x]
+			w, okB := slrPlus.Values[x]
+			if okA != okB || okA && !l.Eq(v, w) {
+				return fmt.Errorf("slr+: value of %v = %s differs from slr = %s", x, l.Format(w), l.Format(v))
 			}
 		}
 	}

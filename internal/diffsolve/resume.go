@@ -118,52 +118,30 @@ func CheckResume[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D
 // checkLocalResume holds SLR and SLR⁺ to the warm-restart contract: the
 // resumed query completes and its result certifies.
 func checkLocalResume[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D, opt Options) error {
-	n := sys.Len()
-	if n == 0 {
-		return nil
-	}
-	query := sys.Order()[n-1]
-	op := solver.Op[X](solver.Warrow[D](l))
 	cfg := solver.Config{MaxEvals: opt.MaxEvals}
-
-	res, err := solver.SLR(sys.AsPure(), l, op, init, query, cfg)
-	if err == nil && res.Stats.Evals >= 2 {
+	for _, ls := range localSolvers(l, sys, init) {
+		res, err := ls.run(cfg)
+		if err != nil || res.Stats.Evals < 2 {
+			continue
+		}
 		c := cfg
 		c.MaxEvals = res.Stats.Evals / 2
-		_, aerr := solver.SLR(sys.AsPure(), l, op, init, query, c)
-		if cp, ok := solver.CheckpointOf[X, D](aerr); ok {
-			rc := cfg
-			rc.Resume = cp
-			warm, rerr := solver.SLR(sys.AsPure(), l, op, init, query, rc)
-			if rerr != nil {
-				return fmt.Errorf("slr: warm restart failed: %w", rerr)
+		_, aerr := ls.run(c)
+		cp, ok := solver.CheckpointOf[X, D](aerr)
+		if !ok {
+			if aerr != nil {
+				return fmt.Errorf("%s: abort carries no checkpoint: %w", ls.name, aerr)
 			}
-			if rep := certify.Partial(l, sys.AsPure(), warm.Values, init); rep.Err() != nil {
-				return fmt.Errorf("slr: warm-restarted result does not certify: %w", rep.Err())
-			}
-		} else if aerr != nil {
-			return fmt.Errorf("slr: abort carries no checkpoint: %w", aerr)
+			continue
 		}
-	}
-
-	sides := asSides(sys)
-	resP, errP := solver.SLRPlus(sides, l, op, init, query, cfg)
-	if errP == nil && resP.Stats.Evals >= 2 {
-		c := cfg
-		c.MaxEvals = resP.Stats.Evals / 2
-		_, aerr := solver.SLRPlus(sides, l, op, init, query, c)
-		if cp, ok := solver.CheckpointOf[X, D](aerr); ok {
-			rc := cfg
-			rc.Resume = cp
-			warm, rerr := solver.SLRPlus(sides, l, op, init, query, rc)
-			if rerr != nil {
-				return fmt.Errorf("slr+: warm restart failed: %w", rerr)
-			}
-			if rep := certify.Sides(l, sides, warm.Values, init); rep.Err() != nil {
-				return fmt.Errorf("slr+: warm-restarted result does not certify: %w", rep.Err())
-			}
-		} else if aerr != nil {
-			return fmt.Errorf("slr+: abort carries no checkpoint: %w", aerr)
+		rc := cfg
+		rc.Resume = cp
+		warm, rerr := ls.run(rc)
+		if rerr != nil {
+			return fmt.Errorf("%s: warm restart failed: %w", ls.name, rerr)
+		}
+		if rep := ls.certify(warm.Values); rep.Err() != nil {
+			return fmt.Errorf("%s: warm-restarted result does not certify: %w", ls.name, rep.Err())
 		}
 	}
 	return nil

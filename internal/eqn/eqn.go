@@ -572,6 +572,18 @@ func (s *System[X, D]) Eval(x X, sigma map[X]D, init func(X) D) D {
 // AsPure views the finite system as a pure system for the local solvers.
 func (s *System[X, D]) AsPure() Pure[X, D] { return s.RHS }
 
+// AsSides views the pure system as a side-effecting one with no side
+// effects, so SLR⁺ and certify.Sides accept it.
+func (p Pure[X, D]) AsSides() Sides[X, D] {
+	return func(x X) SideRHS[X, D] {
+		rhs := p(x)
+		if rhs == nil {
+			return nil
+		}
+		return func(get func(X) D, _ func(X, D)) D { return rhs(get) }
+	}
+}
+
 // ConstBottom returns an initial assignment mapping every unknown to the
 // lattice's bottom element.
 func ConstBottom[X comparable, D any](l lattice.Lattice[D]) func(X) D {

@@ -174,7 +174,7 @@ func TestServedResumePowersetForeign(t *testing.T) {
 	init := eqn.ConstBottom[int, lattice.Set[int]](l)
 	codec := ckptcodec.PowersetCodec()
 	boxed := solver.Op[int](solver.Warrow[lattice.Set[int]](l))
-	const foreign = 1 << 40
+	const foreign = 1 << 30
 
 	_, addr := startServer(t, Options{Workers: 1, Quantum: 11})
 	c := dialT(t, addr)

@@ -190,18 +190,10 @@ func (s *localStore[X, D]) add(y X) int32 {
 	return i
 }
 
-// values builds the result map, once, at the end of a solve.
-func (s *localStore[X, D]) values() map[X]D {
-	m := make(map[X]D, len(s.dom))
-	for i, x := range s.dom {
-		m[x] = s.sigma[i]
-	}
-	return m
-}
-
-// slrState is the shared machinery of SLR and SLR⁺, over the numbered
-// store: stability, priority keys, influence rows and queue positions are
-// all indexed by discovery number.
+// slrState is the store and bookkeeping of the loop that SLR and SLR⁺
+// share (slrLoop): stability, priority keys, influence rows, queue
+// positions and side-effect contributions are all indexed by discovery
+// number.
 type slrState[X comparable, D any] struct {
 	localStore[X, D]
 	name string
@@ -224,21 +216,20 @@ type slrState[X comparable, D any] struct {
 	infl [][]int32
 	mark []bool // compact's scratch set; all false between calls
 	q    idHeap
-}
 
-func newSLRState[X comparable, D any](name string, l lattice.Lattice[D], op Operator[X, D], init func(X) D, band func(X) int, cfg Config) *slrState[X, D] {
-	wd := newWatchdog[X](cfg, nil)
-	return &slrState[X, D]{
-		localStore: newLocalStore[X, D](),
-		name:       name,
-		l:          l,
-		op:         instrument(wd, l, op),
-		init:       init,
-		band:       band,
-		wd:         wd,
-		g:          newEvalGuard(cfg),
-		ck:         newCkptSink(cfg),
-	}
+	// Each side effect (x → z) is the paper's auxiliary unknown (x, z).
+	// contribs[z] holds the values of z's auxiliary unknowns in the order
+	// their sources were first seen, indexed by z's number; slot maps the
+	// pair of numbers to its entry in contribs[z]. A pure system leaves
+	// both empty.
+	contribs [][]D
+	slot     map[uint64]int32
+	// sideErr is the error slot of the side callback: solving a freshly
+	// discovered side-effected unknown has no error channel of its own,
+	// and an abort raised there must not be dropped — if the caller
+	// finishes without performing another evaluation, the solver would
+	// otherwise report success on a truncated run.
+	sideErr error
 }
 
 // capture snapshots the current partial assignment for a warm restart.
@@ -327,6 +318,20 @@ func (s *slrState[X, D]) destabilize(x int32) {
 	s.infl[x] = row[:1]
 }
 
+// contribsOf lists the side effects' contributions to z.
+func (s *slrState[X, D]) contribsOf(z int32) []D {
+	if int(z) < len(s.contribs) {
+		return s.contribs[z]
+	}
+	return nil
+}
+
+// sidePair packs the numbers of a side effect's source and target into the
+// key of the contribution index.
+func sidePair(from, to int32) uint64 {
+	return uint64(uint32(from))<<32 | uint64(uint32(to))
+}
+
 // drain solves queued unknowns while the least key does not exceed bound.
 //
 // The unknowns it pops are solved with drainAfter=false: a popped unknown's
@@ -355,97 +360,10 @@ func (s *slrState[X, D]) drain(bound int64, solve func(int32, bool) error) error
 // (Theorem 3.1), and with ⊟ it terminates whenever the system is monotonic
 // and only finitely many unknowns are encountered (Theorem 3.2).
 //
+// SLR is SLR⁺ on a system without side effects, and runs its loop.
 // Aborts attach a warm-restart checkpoint; see RLD for the resume contract.
 func SLR[X comparable, D any](sys eqn.Pure[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, x0 X, cfg Config) (Result[X, D], error) {
-	if cp, err := resumeCheckpoint[X, D](cfg, "slr", nil); err != nil {
-		return Result[X, D]{Values: map[X]D{}}, err
-	} else if cp != nil {
-		init = cp.overlayInit(init)
-	}
-	s := newSLRState("slr", l, op, init, nil, cfg)
-	// eval and thunk are allocated once per run and read the current frame
-	// from cur; solve is reentrant (eval recurses into it for fresh
-	// unknowns), so each frame saves and restores cur around its evaluation.
-	var solve func(i int32, drainAfter bool) error
-	var cur struct {
-		x       int32
-		rhs     eqn.RHS[X, D]
-		evalErr error
-	}
-	eval := func(y X) D {
-		i, ok := s.num[y]
-		if !ok {
-			i = s.initVar(y)
-			if cur.evalErr == nil {
-				cur.evalErr = solve(i, true)
-			}
-		}
-		s.addReader(i, cur.x)
-		return s.sigma[i]
-	}
-	thunk := func() D { return cur.rhs(eval) }
-	solve = func(i int32, drainAfter bool) error {
-		if s.stable[i] {
-			return nil
-		}
-		s.stable[i] = true
-		x := s.dom[i]
-		rhs := sys(x)
-		if rhs == nil {
-			return nil // no equation: value stays σ₀[x]
-		}
-		if err := s.wd.check(s.st.Evals); err != nil {
-			return err
-		}
-		if s.ck.due(s.st.Evals) {
-			s.ck.emit(s.st.Evals, s.capture())
-		}
-		s.st.Evals++
-		saved := cur
-		cur.x, cur.rhs, cur.evalErr = i, rhs, nil
-		rhsVal, attempts, ee := guardedEval(s.g, x, thunk)
-		evalErr := cur.evalErr
-		cur = saved
-		s.st.Retries += attempts - 1
-		if ee != nil {
-			// The failed evaluation never happened; roll its count back.
-			// Evaluations of unknowns discovered during failed attempts did
-			// happen and stand.
-			s.st.Evals--
-			return s.wd.failEval(ee, s.st.Evals)
-		}
-		tmp := s.op.Apply(x, s.sigma[i], rhsVal)
-		if evalErr != nil {
-			return evalErr
-		}
-		if !s.l.Eq(tmp, s.sigma[i]) {
-			s.destabilize(i)
-			s.sigma[i] = tmp
-			s.st.Updates++
-			if drainAfter {
-				return s.drain(s.key[i], solve)
-			}
-		}
-		return nil
-	}
-	root := s.initVar(x0)
-	err := solve(root, true)
-	if err == nil {
-		// The paper argues Q is empty here since x0 holds the largest key;
-		// drain defensively so the result is a partial solution regardless.
-		err = s.drain(s.key[root], solve)
-	}
-	if err != nil {
-		err = attachCheckpoint(err, s.capture())
-	}
-	s.st.Unknowns = len(s.dom)
-	return Result[X, D]{Values: s.values(), Stats: s.st}, err
-}
-
-// sidePair packs the numbers of a side effect's source and target into the
-// key of SLRPlusKeyed's contribution index.
-func sidePair(from, to int32) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
+	return slrLoop("slr", sys, nil, l, op, init, x0, nil, cfg)
 }
 
 // SLRPlus is the side-effecting solver of Sec. 6. Right-hand sides receive,
@@ -476,39 +394,32 @@ func SLRPlus[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D], op 
 // globals) restores the invariant the termination proof of Theorem 4 needs:
 // when z is re-evaluated, all of its lower-band readers are stable.
 func SLRPlusKeyed[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, x0 X, band func(X) int, cfg Config) (Result[X, D], error) {
-	if cp, err := resumeCheckpoint[X, D](cfg, "slr+", nil); err != nil {
+	return slrLoop("slr+", nil, sys, l, op, init, x0, band, cfg)
+}
+
+// slrLoop is the loop of SLR and SLR⁺. Exactly one of pure and sides is
+// set; a pure system never calls side, so no unknown receives a
+// contribution. name is the checkpoint's solver name, so one solver does
+// not resume the other's checkpoint.
+func slrLoop[X comparable, D any](name string, pure eqn.Pure[X, D], sides eqn.Sides[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, x0 X, band func(X) int, cfg Config) (Result[X, D], error) {
+	if cp, err := resumeCheckpoint[X, D](cfg, name, nil); err != nil {
 		return Result[X, D]{Values: map[X]D{}}, err
 	} else if cp != nil {
 		init = cp.overlayInit(init)
 	}
-	s := newSLRState("slr+", l, op, init, band, cfg)
-	// Each side effect (x → z) is the paper's auxiliary unknown (x, z).
-	// contribs[z] holds the values of z's auxiliary unknowns in the order
-	// their sources were first seen, indexed by z's number; slot maps the
-	// pair of numbers to its entry in contribs[z].
-	var contribs [][]D
-	slot := make(map[uint64]int32)
-	contribsOf := func(z int32) []D {
-		if int(z) < len(contribs) {
-			return contribs[z]
-		}
-		return nil
-	}
-
-	// sideErr is the shared error slot for the side callback: solving a
-	// freshly discovered side-effected unknown has no error channel of its
-	// own, and an abort raised there must not be dropped — if the caller
-	// finishes without performing another evaluation, the solver would
-	// otherwise report success on a truncated run.
+	wd := newWatchdog[X](cfg, nil)
+	s := &slrState[X, D]{localStore: newLocalStore[X, D](), name: name, l: l, op: instrument(wd, l, op),
+		init: init, band: band, wd: wd, g: newEvalGuard(cfg), ck: newCkptSink(cfg)}
 	// eval, side and thunk are allocated once per run and read the current
-	// frame from cur; solve is reentrant (eval and side recurse into it for
+	// frame from cur, which holds the right-hand side in the form the
+	// system gave it; solve is reentrant (eval and side recurse into it for
 	// fresh unknowns), so each frame saves and restores cur around its
 	// evaluation.
-	var sideErr error
 	var solve func(i int32, drainAfter bool) error
 	var cur struct {
 		x       int32
-		rhs     eqn.SideRHS[X, D]
+		rhs     eqn.RHS[X, D]
+		srhs    eqn.SideRHS[X, D]
 		evalErr error
 	}
 	side := func(z X, d D) {
@@ -519,36 +430,33 @@ func SLRPlusKeyed[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D]
 			// panic passes through the recover barrier unchanged.
 			panic(contractViolation{msg: "solver: SLRPlus right-hand side side-effects its own unknown"})
 		}
-		var old D
-		k := int32(-1)
+		// The auxiliary unknown (x, z) holds ⊥ until its first side effect.
+		k, seen := int32(0), false
 		if known {
-			if k0, ok := slot[sidePair(x, j)]; ok {
-				k = k0
-				old = contribs[j][k]
-			}
+			k, seen = s.slot[sidePair(x, j)]
 		}
-		if k < 0 {
-			old = l.Bottom()
-		}
-		if l.Eq(d, old) {
+		switch {
+		case seen && !s.l.Eq(d, s.contribs[j][k]):
+			s.contribs[j][k] = d
+			s.schedule(j)
 			return
-		}
-		if !known {
+		case seen || s.l.Eq(d, s.l.Bottom()):
+			return
+		case !known:
 			j = s.initVar(z)
 		}
-		if k >= 0 {
-			contribs[j][k] = d
-		} else {
-			for int(j) >= len(contribs) {
-				contribs = append(contribs, nil)
-			}
-			slot[sidePair(x, j)] = int32(len(contribs[j]))
-			contribs[j] = append(contribs[j], d)
+		for int(j) >= len(s.contribs) {
+			s.contribs = append(s.contribs, nil)
 		}
+		if s.slot == nil {
+			s.slot = make(map[uint64]int32)
+		}
+		s.slot[sidePair(x, j)] = int32(len(s.contribs[j]))
+		s.contribs[j] = append(s.contribs[j], d)
 		if known {
 			s.schedule(j)
-		} else if err := solve(j, true); err != nil && sideErr == nil {
-			sideErr = err
+		} else if err := solve(j, true); err != nil && s.sideErr == nil {
+			s.sideErr = err
 		}
 	}
 	eval := func(y X) D {
@@ -562,16 +470,27 @@ func SLRPlusKeyed[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D]
 		s.addReader(i, cur.x)
 		return s.sigma[i]
 	}
-	thunk := func() D { return cur.rhs(eval, side) }
+	thunk := func() D {
+		if cur.rhs != nil {
+			return cur.rhs(eval)
+		}
+		return cur.srhs(eval, side)
+	}
 	solve = func(i int32, drainAfter bool) error {
 		if s.stable[i] {
 			return nil
 		}
 		s.stable[i] = true
 		x := s.dom[i]
-		rhs := sys(x)
-		if rhs == nil && len(contribsOf(i)) == 0 {
-			return nil
+		var rhs eqn.RHS[X, D]
+		var srhs eqn.SideRHS[X, D]
+		if pure != nil {
+			rhs = pure(x)
+		} else {
+			srhs = sides(x)
+		}
+		if rhs == nil && srhs == nil && len(s.contribsOf(i)) == 0 {
+			return nil // no equation and no contribution: value stays σ₀[x]
 		}
 		if err := s.wd.check(s.st.Evals); err != nil {
 			return err
@@ -580,13 +499,12 @@ func SLRPlusKeyed[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D]
 			s.ck.emit(s.st.Evals, s.capture())
 		}
 		s.st.Evals++
-		v := l.Bottom()
-		var evalErr error
-		if rhs != nil {
+		v := s.l.Bottom()
+		if rhs != nil || srhs != nil {
 			saved := cur
-			cur.x, cur.rhs, cur.evalErr = i, rhs, nil
+			cur.x, cur.rhs, cur.srhs, cur.evalErr = i, rhs, srhs, nil
 			rhsVal, attempts, ee := guardedEval(s.g, x, thunk)
-			evalErr = cur.evalErr
+			evalErr := cur.evalErr
 			cur = saved
 			s.st.Retries += attempts - 1
 			if ee != nil {
@@ -597,18 +515,18 @@ func SLRPlusKeyed[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D]
 				s.st.Evals--
 				return s.wd.failEval(ee, s.st.Evals)
 			}
+			if evalErr != nil {
+				return evalErr
+			}
 			v = rhsVal
 		}
-		if evalErr != nil {
-			return evalErr
-		}
-		if sideErr != nil {
-			return sideErr
+		if s.sideErr != nil {
+			return s.sideErr
 		}
 		// Read the contributions after the evaluation: side effects of the
 		// unknowns it discovered may have added to them.
-		for _, c := range contribsOf(i) {
-			v = l.Join(v, c)
+		for _, c := range s.contribsOf(i) {
+			v = s.l.Join(v, c)
 		}
 		tmp := s.op.Apply(x, s.sigma[i], v)
 		if !s.l.Eq(tmp, s.sigma[i]) {
@@ -624,9 +542,10 @@ func SLRPlusKeyed[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D]
 	root := s.initVar(x0)
 	err := solve(root, true)
 	for err == nil && !s.q.empty() {
-		// Side effects may have scheduled unknowns after x0's last update;
-		// keep draining until the queue is empty so the result is a partial
-		// post-solution.
+		// x0 holds the largest key of its band, so without side effects
+		// one drain empties the queue. Side effects may schedule unknowns
+		// of a higher band after x0's last update; keep draining until the
+		// queue is empty so the result is a partial post-solution.
 		err = s.drain(s.key[root], solve)
 		if err == nil && !s.q.empty() {
 			err = solve(s.q.popMin(), false)
@@ -636,11 +555,15 @@ func SLRPlusKeyed[X comparable, D any](sys eqn.Sides[X, D], l lattice.Lattice[D]
 		// A side-callback abort can be raised on a path where the caller
 		// returns without another evaluation; surface it instead of
 		// reporting success on a truncated run.
-		err = sideErr
+		err = s.sideErr
 	}
 	if err != nil {
 		err = attachCheckpoint(err, s.capture())
 	}
 	s.st.Unknowns = len(s.dom)
-	return Result[X, D]{Values: s.values(), Stats: s.st}, err
+	vals := make(map[X]D, len(s.dom))
+	for i, x := range s.dom {
+		vals[x] = s.sigma[i]
+	}
+	return Result[X, D]{Values: vals, Stats: s.st}, err
 }

@@ -9,78 +9,122 @@ package solver
 // DAG; PSW solves whole components to stabilization and lets incomparable
 // components run concurrently.
 
-// tarjanSCC condenses the graph into strongly connected components using an
-// iterative Tarjan traversal (the systems reach hundreds of thousands of
-// unknowns, so recursion depth must not scale with graph size). It returns
-// the component id of every vertex and the number of components. Ids number
-// the components in reverse topological order of the condensation: for every
-// edge i → j with comp[i] ≠ comp[j], comp[j] < comp[i] — so processing
-// components in increasing id order visits every dependence before its
-// reader.
-func tarjanSCC(adj [][]int) (comp []int, ncomp int) {
-	n := len(adj)
-	comp = make([]int, n)
-	low := make([]int, n)
-	num := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range comp {
-		comp[i] = -1
-		num[i] = -1
-	}
-	stack := make([]int, 0, n)
-	// The DFS frame keeps the vertex and the index of the next out-edge to
+import "math"
+
+// tarjan is an iterative Tarjan traversal over the subgraph of adj induced
+// by a node set (the systems reach hundreds of thousands of unknowns, so
+// recursion depth must not scale with graph size). Its scratch is sized to
+// the graph once and reused by every call.
+type tarjan struct {
+	adj [][]int
+	// num[v] is -1 for a member of the current node set not visited yet,
+	// v's visit number while v is on the stack, and idle otherwise.
+	num, low []int32
+	stack    []int32
+	// A frame keeps a vertex and the index of its next out-edge to
 	// explore, replacing the recursive call stack.
-	type frame struct{ v, ei int }
-	var frames []frame
-	counter := 0
-	for root := 0; root < n; root++ {
-		if num[root] >= 0 {
+	frames []tarjanFrame
+}
+
+// idle marks a vertex outside the current node set or in a component
+// already emitted. It exceeds every visit number, so an edge to such a
+// vertex neither starts a visit nor lowers a low-link, and a call leaves
+// every vertex idle again.
+const idle = math.MaxInt32
+
+type tarjanFrame struct {
+	v  int32
+	ei int
+}
+
+func newTarjan(adj [][]int) tarjan {
+	n := len(adj)
+	nl := make([]int32, 2*n)
+	for i := range nl[:n] {
+		nl[i] = idle
+	}
+	return tarjan{adj: adj, num: nl[:n], low: nl[n:], stack: make([]int32, 0, n)}
+}
+
+// sccs condenses the subgraph induced by nodes, trying roots in the order
+// of nodes and edges in the order of adj. It calls emit with every
+// component in emission order, which is reverse topological order of the
+// condensation: every component comes before its readers. The slice emit
+// receives is scratch, valid only during the call.
+func (t *tarjan) sccs(nodes []int32, emit func(comp []int32)) {
+	for _, v := range nodes {
+		t.num[v] = -1
+	}
+	var counter int32
+	push := func(v int32) {
+		t.num[v], t.low[v] = counter, counter
+		counter++
+		t.stack = append(t.stack, v)
+		t.frames = append(t.frames, tarjanFrame{v, 0})
+	}
+	for _, root := range nodes {
+		if t.num[root] != -1 {
 			continue
 		}
-		frames = append(frames[:0], frame{root, 0})
-		num[root], low[root] = counter, counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
+		push(root)
+		for len(t.frames) > 0 {
+			f := &t.frames[len(t.frames)-1]
 			v := f.v
-			if f.ei < len(adj[v]) {
-				w := adj[v][f.ei]
+			if f.ei < len(t.adj[v]) {
+				u := t.adj[v][f.ei]
 				f.ei++
-				if num[w] < 0 {
-					num[w], low[w] = counter, counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] && num[w] < low[v] {
-					low[v] = num[w]
+				if nu := t.num[u]; nu < 0 {
+					push(int32(u))
+				} else if nu < t.low[v] {
+					t.low[v] = nu
 				}
 				continue
 			}
 			// v is fully explored: pop its component if it is a root.
-			if low[v] == num[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
+			if t.low[v] == t.num[v] {
+				k := len(t.stack) - 1
+				for t.stack[k] != v {
+					k--
 				}
-				ncomp++
+				emit(t.stack[k:])
+				for _, u := range t.stack[k:] {
+					t.num[u] = idle
+				}
+				t.stack = t.stack[:k]
 			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
+			t.frames = t.frames[:len(t.frames)-1]
+			if len(t.frames) > 0 {
+				p := t.frames[len(t.frames)-1].v
+				t.low[p] = min(t.low[p], t.low[v])
 			}
 		}
 	}
+}
+
+// allNodes lists the vertices 0..n-1.
+func allNodes(n int) []int32 {
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
+}
+
+// tarjanSCC condenses the graph into strongly connected components. It
+// returns the component id of every vertex and the number of components.
+// Ids number the components in the order the traversal emits them, reverse
+// topological order of the condensation: for every edge i → j with
+// comp[i] ≠ comp[j], comp[j] < comp[i] — so processing components in
+// increasing id order visits every dependence before its reader.
+func tarjanSCC(adj [][]int) (comp []int, ncomp int) {
+	comp = make([]int, len(adj))
+	t := newTarjan(adj)
+	t.sccs(allNodes(len(adj)), func(c []int32) {
+		for _, v := range c {
+			comp[v] = ncomp
+		}
+		ncomp++
+	})
 	return comp, ncomp
 }
 

@@ -60,7 +60,7 @@
 package solver
 
 import (
-	"sort"
+	"slices"
 
 	"warrow/internal/eqn"
 	"warrow/internal/lattice"
@@ -124,87 +124,22 @@ func wpointsOf[X comparable, D any](sys *eqn.System[X, D]) *wpointInfo[X, D] {
 			w.startComp[p] = -1
 		}
 
-		// Scratch for the induced-subgraph Tarjan runs of the refinement;
-		// each call initializes exactly the entries of its node set, so the
-		// arrays are shared across all levels.
-		member := newBitset(n)
-		num := make([]int32, n)
-		low := make([]int32, n)
-		onStack := newBitset(n)
-
-		// sccs condenses the subgraph induced by nodes, returning the
-		// components in emission order of the iterative Tarjan traversal —
-		// reverse topological order of the sub-condensation, i.e. every
-		// component before its readers — with each component sorted by
-		// definition index (deterministic headers and root order).
+		// sccs returns the components of the subgraph induced by nodes in
+		// the traversal's emission order — every component before its
+		// readers — each sorted by definition index (deterministic headers
+		// and root order). The groups share one buffer of len(nodes), so
+		// they stay valid across later calls.
+		t := newTarjan(adj)
 		sccs := func(nodes []int32) [][]int32 {
-			for _, v := range nodes {
-				member.set(int(v))
-				num[v] = -1
-			}
+			flat := make([]int32, 0, len(nodes))
 			var groups [][]int32
-			var tstack []int32
-			type tframe struct {
-				v  int32
-				ei int
-			}
-			var frames []tframe
-			var counter int32
-			for _, root := range nodes {
-				if num[root] >= 0 {
-					continue
-				}
-				num[root], low[root] = counter, counter
-				counter++
-				tstack = append(tstack, root)
-				onStack.set(int(root))
-				frames = append(frames[:0], tframe{root, 0})
-				for len(frames) > 0 {
-					f := &frames[len(frames)-1]
-					v := f.v
-					if f.ei < len(adj[v]) {
-						u := int32(adj[v][f.ei])
-						f.ei++
-						if !member.has(int(u)) {
-							continue
-						}
-						if num[u] < 0 {
-							num[u], low[u] = counter, counter
-							counter++
-							tstack = append(tstack, u)
-							onStack.set(int(u))
-							frames = append(frames, tframe{u, 0})
-						} else if onStack.has(int(u)) && num[u] < low[v] {
-							low[v] = num[u]
-						}
-						continue
-					}
-					if low[v] == num[v] {
-						var g []int32
-						for {
-							u := tstack[len(tstack)-1]
-							tstack = tstack[:len(tstack)-1]
-							onStack.clear(int(u))
-							g = append(g, u)
-							if u == v {
-								break
-							}
-						}
-						sort.Slice(g, func(a, b int) bool { return g[a] < g[b] })
-						groups = append(groups, g)
-					}
-					frames = frames[:len(frames)-1]
-					if len(frames) > 0 {
-						p := frames[len(frames)-1].v
-						if low[v] < low[p] {
-							low[p] = low[v]
-						}
-					}
-				}
-			}
-			for _, v := range nodes {
-				member.clear(int(v))
-			}
+			t.sccs(nodes, func(comp []int32) {
+				start := len(flat)
+				flat = append(flat, comp...)
+				g := flat[start:len(flat):len(flat)]
+				slices.Sort(g)
+				groups = append(groups, g)
+			})
 			return groups
 		}
 
@@ -241,11 +176,7 @@ func wpointsOf[X comparable, D any](sys *eqn.System[X, D]) *wpointInfo[X, D] {
 				stack = append(stack, item{kind: openComp, node: g[0], members: g[1:]})
 			}
 		}
-		all := make([]int32, n)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		top := sccs(all)
+		top := sccs(allNodes(n))
 		w.ncomp = len(top)
 		pushGroups(top)
 		for len(stack) > 0 {
