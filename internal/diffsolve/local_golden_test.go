@@ -16,7 +16,7 @@ import (
 	"warrow/internal/solver"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/local_golden.txt from the current solvers")
+var update = flag.Bool("update", false, "rewrite testdata/local_golden.txt and testdata/global_golden.txt from the current solvers")
 
 const localGolden = "testdata/local_golden.txt"
 
@@ -50,17 +50,23 @@ func TestLocalGolden(t *testing.T) {
 		}
 	}
 
-	got := sb.String()
+	checkGolden(t, localGolden, sb.String())
+}
+
+// checkGolden compares a golden test's output with its testdata file, or
+// with -update rewrites the file.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(localGolden), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(localGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(localGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
@@ -75,7 +81,7 @@ func TestLocalGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Errorf("line %d:\n got  %s\n want %s", i+1, g, w)
+			t.Errorf("%s line %d:\n got  %s\n want %s", path, i+1, g, w)
 			if bad++; bad == 20 {
 				t.Fatal("too many differing lines")
 			}
@@ -119,7 +125,7 @@ func localGoldenRuns[D any](t *testing.T, sb *strings.Builder, run *int, l latti
 			}
 			st := res.Stats
 			fmt.Fprintf(sb, "%s budget=%d every=%d evals=%d retries=%d updates=%d unknowns=%d maxq=%d values=%s",
-				name, budget, every, st.Evals, st.Retries, st.Updates, st.Unknowns, st.MaxQueue, localValuesDigest(l, sys, res.Values))
+				name, budget, every, st.Evals, st.Retries, st.Updates, st.Unknowns, st.MaxQueue, valuesDigest(l, sys, res.Values))
 			if st != (solver.Stats{Evals: st.Evals, Retries: st.Retries, Updates: st.Updates, Unknowns: st.Unknowns, MaxQueue: st.MaxQueue}) {
 				t.Fatalf("%s: a local solver set a Stats field outside the golden line: %+v", name, st)
 			}
@@ -161,9 +167,9 @@ func trimHist(h solver.Hist) []int {
 	return h[:n]
 }
 
-// localValuesDigest hashes a local solver's partial assignment in linear
-// order with FNV-64a.
-func localValuesDigest[D any](l lattice.Lattice[D], sys *eqn.System[int, D], vals map[int]D) string {
+// valuesDigest hashes an assignment, partial or whole, in linear order
+// with FNV-64a.
+func valuesDigest[D any](l lattice.Lattice[D], sys *eqn.System[int, D], vals map[int]D) string {
 	h := fnv.New64a()
 	for _, x := range sys.Order() {
 		if v, ok := vals[x]; ok {
