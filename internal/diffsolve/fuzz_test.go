@@ -31,7 +31,10 @@ func recipeFromWords(seed, knobs uint64) eqgen.Config {
 
 // FuzzSolvers feeds fuzzer-chosen generator recipes through the full
 // differential matrix: every terminating solver must certify, and PSW must
-// be bit-identical to SW. A crash here is a reproduction recipe — the
+// be bit-identical to SW. The same recipe then runs the cross-store
+// verdict, which solves with the structured WarrowOp and so reaches the
+// word store: RR, W, SRR, SW and PSW on both stores against the map
+// transcription of Figs. 1–4. A crash here is a reproduction recipe — the
 // failure message embeds the eqgen.Config that rebuilds the system.
 func FuzzSolvers(f *testing.F) {
 	f.Add(uint64(1), uint64(0))                      // defaults, interval
@@ -42,7 +45,11 @@ func FuzzSolvers(f *testing.F) {
 	f.Add(uint64(24), uint64(73_424_976))            // slr3 post-solution incomparable to sw's
 	f.Fuzz(func(t *testing.T, seed, knobs uint64) {
 		cfg := recipeFromWords(seed, knobs)
-		if err := CheckGenerated(cfg, Options{MaxEvals: 20_000, Workers: []int{1, 3}}); err != nil {
+		opt := Options{MaxEvals: 20_000, Workers: []int{1, 3}}
+		if err := CheckGenerated(cfg, opt); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckGeneratedCores(cfg, opt); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -553,18 +553,23 @@ func PowersetRHS(sp Spec) (eqn.RHS[int, lattice.Set[int]], eqn.RawRHS[int]) {
 	// the bound is the mask joined with the base.
 	base, bound, dropMask := powersetOf(baseBits), powersetOf(boundBits), powersetOf(dropBits)
 	rhs := func(get func(int) lattice.Set[int]) lattice.Set[int] {
-		vals := make([]lattice.Set[int], len(ds))
-		for k, d := range ds {
-			vals[k] = get(d)
+		// The dependencies are read into a buffer on the stack, and a growth
+		// term, t ∪ (t rotated by rot), is gathered on the stack and built
+		// as one set.
+		var buf [16]lattice.Set[int]
+		vals := buf[:0]
+		for _, d := range ds {
+			vals = append(vals, get(d))
 		}
 		v := base
 		for k, t := range vals {
 			if sp.Grow && k == 0 && rot > 0 {
-				rotated := make([]int, 0, t.Len())
-				for _, e := range t.Elems() {
-					rotated = append(rotated, (e+rot)%powersetUniverse)
+				var elems [2 * powersetUniverse]int
+				grown := elems[:0]
+				for i := 0; i < t.Len(); i++ {
+					grown = append(grown, t.At(i), (t.At(i)+rot)%powersetUniverse)
 				}
-				t = t.Union(lattice.NewSet(rotated...))
+				t = lattice.NewSet(grown...)
 			}
 			v = v.Union(t)
 		}

@@ -8,11 +8,11 @@
 // system's memoized decomposition (solver.DecompositionOf(sys).Cone: the
 // transitive readers of the edited unknowns, rounded up to whole strata of
 // the SCC stratification, at a cost proportional to the cone) and re-runs
-// the chosen solver on the cone in place. The SRR, SW and PSW engines keep
-// their live assignment in a solver.Live store, by order position, which
-// the initial Solve fills: a cone restarts its members from the original
-// initial assignment, reads every unknown outside it from its stored
-// final, and writes back only the members' new values. Restarting from σ₀
+// the chosen solver on the cone in place. Every engine keeps its live
+// assignment in a solver.Live store, by order position, which the initial
+// Solve fills: a cone restarts its members from the original initial
+// assignment, reads every unknown outside it from its stored final, and
+// writes back only the members' new values. Restarting from σ₀
 // re-arms warrowing — the ∇/Δ phase machinery of ⊟ — exactly inside the
 // cone and nowhere else: an unknown re-entered at its previous (narrowed)
 // final would otherwise have nothing left to widen from, and a
@@ -27,7 +27,8 @@
 // cross-stratum intermediate values, and no cone granularity preserves
 // bit-identity for them (§12 has a counterexample) — so for "rr" and "w"
 // the engine re-solves the full system from scratch: still correct, never
-// silently approximate, with the delta stats reporting zero reuse.
+// silently approximate, with the delta stats reporting zero reuse. That
+// full re-solve runs on the same Live store.
 //
 // Interrupted incremental solves resume: a cone runs the solver's own
 // loop, so it captures checkpoints like any solve — of the subsystem the
@@ -115,7 +116,6 @@ type Result[X comparable, D any] struct {
 // not safe for concurrent use; like the System it wraps, it expects edits
 // and solves to be serialized.
 type Engine[X comparable, D any] struct {
-	l          lattice.Lattice[D]
 	sys        *eqn.System[X, D]
 	init       func(X) D
 	solverName string
@@ -124,8 +124,7 @@ type Engine[X comparable, D any] struct {
 	prev      map[X]D    // live assignment; nil until the first Solve completes
 	version   uint64     // journal cursor: sys edits past this are pending
 	perturbed map[X]bool // pending perturbation seeds
-	// live holds the srr, sw and psw engines' assignment by order position,
-	// equal to prev; nil for rr and w, which re-solve in full.
+	// live holds the assignment by order position, equal to prev.
 	live *solver.Live[X, D]
 	// cone is the member buffer every Resolve's Decomposition.Cone reuses.
 	cone []int
@@ -141,14 +140,12 @@ func New[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init 
 	if !solverNames[solverName] {
 		return nil, fmt.Errorf("incr: unknown solver %q (want rr, w, srr, sw or psw)", solverName)
 	}
-	e := &Engine[X, D]{l: l, sys: sys, init: init, solverName: solverName}
-	if solverName != "rr" && solverName != "w" {
-		live, err := solver.NewLive(sys, l, solver.WarrowOp[X](l), e.Init(), solverName)
-		if err != nil {
-			return nil, err
-		}
-		e.live = live
+	e := &Engine[X, D]{sys: sys, init: init, solverName: solverName}
+	live, err := solver.NewLive(sys, l, solver.WarrowOp[X](l), e.Init(), solverName)
+	if err != nil {
+		return nil, err
 	}
+	e.live = live
 	return e, nil
 }
 
@@ -169,32 +166,20 @@ func (e *Engine[X, D]) Init() func(X) D {
 	}
 }
 
-// full solves the whole system from σ₀ (or cfg.Resume) and, on success,
-// merges the solution into the live assignment in place. The structured
-// operator form is used so the unboxed core engages whenever the domain
-// supports it.
+// full solves the whole system on the live store from σ₀ (or cfg.Resume)
+// and, on success, merges the solution into the live assignment in place.
+// The structured operator form is used so the unboxed core engages
+// whenever the domain supports it.
 func (e *Engine[X, D]) full(cfg solver.Config) (solver.Stats, error) {
-	if e.live != nil {
-		vals := e.prev
-		if vals == nil {
-			vals = make(map[X]D, e.sys.Len())
-		}
-		st, err := e.live.Solve(cfg, vals)
-		if err == nil {
-			e.prev = vals
-		}
-		return st, err
+	vals := e.prev
+	if vals == nil {
+		vals = make(map[X]D, e.sys.Len())
 	}
-	sigma, st, err := solver.Run(e.solverName, e.sys, e.l, solver.WarrowOp[X](e.l), e.Init(), cfg)
-	if err != nil {
-		return st, err
+	st, err := e.live.Solve(cfg, vals)
+	if err == nil {
+		e.prev = vals
 	}
-	if e.prev == nil {
-		e.prev = sigma
-	} else {
-		maps.Copy(e.prev, sigma)
-	}
-	return st, nil
+	return st, err
 }
 
 // Solve runs the initial from-scratch solve and arms the engine: subsequent
@@ -300,7 +285,7 @@ func (e *Engine[X, D]) Resolve(cfg solver.Config) (*Result[X, D], error) {
 		return &Result[X, D]{Values: e.prev, ReusedUnknowns: n}, nil
 	}
 
-	if e.live == nil {
+	if e.solverName == "rr" || e.solverName == "w" {
 		// The generic solvers read cross-stratum intermediates: no cone
 		// restriction preserves bit-identity (DESIGN.md §12), so the honest
 		// incremental policy is a full re-solve of the edited system.

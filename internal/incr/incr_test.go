@@ -478,6 +478,29 @@ func TestUnencodableCone(t *testing.T) {
 	}
 }
 
+// TestUnencodablePerturbation: a Perturb to a σ₀ the unboxed words cannot
+// hold — an upper bound of MaxInt64 — re-solves on boxed values and equals
+// a scratch solve on boxed values, for every engine.
+func TestUnencodablePerturbation(t *testing.T) {
+	for _, name := range []string{"rr", "w", "srr", "sw", "psw"} {
+		sys := chain(40, 0)
+		e, _ := New(l, sys, eqn.ConstBottom[int, lattice.Interval](l), name)
+		cfg := solver.Config{MaxEvals: 100_000}
+		if _, err := e.Solve(cfg); err != nil {
+			t.Fatal(err)
+		}
+		e.Apply(Perturb(10, lattice.Range(0, math.MaxInt64)))
+		res, err := e.Resolve(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if hi := res.Values[39].Hi; !hi.IsFinite() || hi.Int() != math.MaxInt64 {
+			t.Fatalf("%s: chain tail = %s, want an upper bound of MaxInt64", name, l.Format(res.Values[39]))
+		}
+		mustEqual(t, sys, res.Values, scratch(t, e, sys, solver.Config{MaxEvals: 100_000, Core: solver.CoreDense}))
+	}
+}
+
 // TestTailEditGate holds the edit-workload gates on three ≥1000-unknown
 // eqgen systems, one per domain. Redefining one unknown of the last stratum
 // with fresh material (dependences unchanged) must re-solve bit-identically

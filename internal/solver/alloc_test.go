@@ -17,15 +17,28 @@ import (
 // change that reintroduces boxing on the hot path fails a test, not a
 // benchmark eyeball.
 
+// testCore builds the store and the core Run builds for one run of sys,
+// shared (CPW's) or not, with the store reset to σ₀; the store goes back
+// to the shape's pools when the test ends.
+func testCore[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config, shared bool) execCore[X, D] {
+	t.Helper()
+	s := newStore(sys, init, wordsFor(l, op, cfg), shared)
+	t.Cleanup(s.release)
+	if err := s.reset(); err != nil {
+		t.Fatal(err)
+	}
+	vc, _ := newCore(s, l, op, cfg)
+	return vc
+}
+
 // rawStepper builds the unboxed core for sys, shared (CPW's) or not, and
-// fails the test if buildCore falls back to boxed values — an alloc
+// fails the test if the store falls back to boxed values — an alloc
 // measurement of the wrong core would pass vacuously.
 func rawStepper[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D], shared bool) (func(i int, accel bool) (Phase, bool, int, *EvalError), int) {
 	t.Helper()
-	vc, _ := buildCore(sys, l, WarrowOp[X, D](l), eqn.ConstBottom[X, D](l), Config{}, shared)
-	t.Cleanup(vc.release)
+	vc := testCore(t, sys, l, WarrowOp[X, D](l), eqn.ConstBottom[X, D](l), Config{}, shared)
 	if rc, ok := vc.(*rawCore[X, D]); !ok || rc.shared != shared {
-		t.Fatalf("buildCore returned %T, want a *rawCore with shared=%v (raw gate regressed)", vc, shared)
+		t.Fatalf("got a %T, want a *rawCore with shared=%v (raw gate regressed)", vc, shared)
 	}
 	return vc.stepper(false), vc.scope().n
 }
@@ -150,6 +163,36 @@ func TestUnboxedPowersetEvalAllocFloor(t *testing.T) {
 	}
 	if a > 4 {
 		t.Fatalf("powerset boundary adapter allocates %.2f/eval, want <= 4", a)
+	}
+}
+
+// TestBoxedPowersetRHSAllocs pins what eqgen's boxed powerset right-hand
+// sides allocate per evaluation, the cost every boxed powerset solve pays
+// (CoreDense, the dense half of the differential and golden tests): over
+// the 512 equations of seed 7, each evaluated against the system's
+// solution, 264 of them with a growth term. The dependencies are read
+// into a per-call stack buffer and a growth term is built as one set, so
+// what remains is that set and the unions that equal neither operand:
+// 1.41 per evaluation, where reading into a fresh slice and building the
+// growth term through Elems, a rotated slice, NewSet and a Union cost 3.35.
+func TestBoxedPowersetRHSAllocs(t *testing.T) {
+	g := eqgen.New(eqgen.Config{Seed: 7, Dom: eqgen.Powerset, N: 512})
+	pl := eqgen.PowersetL()
+	sys := g.Powerset
+	sigma, _, err := SW(sys, pl, WarrowOp[int](pl), eqn.ConstBottom[int, lattice.Set[int]](pl), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(x int) lattice.Set[int] { return sigma[x] }
+	order := sys.Order()
+	per := testing.AllocsPerRun(10, func() {
+		for _, x := range order {
+			sys.RHS(x)(get)
+		}
+	}) / float64(len(order))
+	t.Logf("boxed powerset right-hand sides: %.2f allocs/eval", per)
+	if per > 1.5 {
+		t.Fatalf("boxed powerset right-hand sides allocate %.2f/eval, want <= 1.5", per)
 	}
 }
 

@@ -191,33 +191,6 @@ func (sc *scope[X, D]) newCheckpoint(name string, st Stats) *Checkpoint[X, D] {
 	return cp
 }
 
-// snapshot captures the shared part of a compiled-solver checkpoint —
-// name, fingerprint, counters and the scope's assignment in linear order —
-// without materializing a sigma map: the Sigma rows are read straight off
-// the flat assignment. The word store's snapshot produces byte-identical
-// wire output on the same state, which is what lets checkpoints captured on
-// one store resume on the other.
-func (c *compiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
-	cp := c.sc.newCheckpoint(name, st)
-	for k := range cp.Sigma {
-		i := c.sc.parent(k)
-		cp.Sigma[k] = CheckpointEntry[X, D]{X: c.order[i], V: c.at(i)}
-	}
-	return cp
-}
-
-// restore applies a checkpointed assignment to the boxed store. Entries for
-// unknowns outside the scope are ignored; a fingerprint-matched checkpoint
-// carries none.
-func (c *compiled[X, D]) restore(cp *Checkpoint[X, D]) error {
-	for _, e := range cp.Sigma {
-		if k, ok := c.sc.lookup(e.X); ok {
-			c.set(c.sc.parent(k), e.V)
-		}
-	}
-	return nil
-}
-
 // queueIndices maps a checkpoint's X-space queue to local positions,
 // rejecting unknowns the scope does not hold.
 func (sc *scope[X, D]) queueIndices(queue []X) ([]int, error) {

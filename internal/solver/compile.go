@@ -2,42 +2,26 @@ package solver
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"warrow/internal/eqn"
 )
 
-// compiled is the dense index-compiled representation of a finite system,
-// built once per solve: unknowns are renumbered to their positions 0..n-1
-// in the linear order, the assignment becomes a flat slice indexed by
-// position, right-hand sides are resolved into a slice, and the influence
-// sets are flattened into CSR form (one []int32 data array plus offsets).
-// Everything a hot loop touches per evaluation is an array access; hashing
-// survives only inside the get callback, which must translate the X-typed
-// reads of a right-hand side back to positions.
+// denseShape is the shape-derived part of the compiled representation of
+// a finite system, memoized on the System (eqn.ShapeMemo) so repeated
+// solves of the same system pay for it exactly once: unknowns are
+// renumbered to their positions 0..n-1 in the linear order, right-hand
+// sides are resolved into a slice, and the influence sets are flattened
+// into CSR form (one []int32 data array plus offsets). The assignment is a
+// store indexed by position (valuerep.go). Everything a hot loop touches
+// per evaluation is an array access; hashing survives only inside the get
+// callback, which must translate the X-typed reads of a right-hand side
+// back to positions.
 //
 // The compiled representation is an execution detail: results, Stats,
 // checkpoints and abort reports are those of the paper's algorithms over
 // maps (see DESIGN.md §10; internal/diffsolve compares every loop with a
 // map-based transcription of Figs. 1–4), and the wire format still speaks
 // X-space, so checkpoints cross freely between the value stores.
-type compiled[X comparable, D any] struct {
-	*denseShape[X, D]
-	// sc is the index space the run iterates over; snapshot and restore
-	// read and write its unknowns only.
-	sc   scope[X, D]
-	init func(X) D
-	// vals is the assignment, indexed by order position.
-	vals []D
-	// ptrs replaces vals in a shared store (CPW): one atomic pointer per
-	// unknown to an immutable value, so a worker reading a slot while its
-	// owner replaces it sees the old value or the new one, never a mix.
-	ptrs []atomic.Pointer[D]
-}
-
-// denseShape is the shape-derived part of the compiled representation,
-// memoized on the System (eqn.ShapeMemo) so repeated solves of the same
-// system pay for the CSR build exactly once.
 type denseShape[X comparable, D any] struct {
 	order []X
 	idx   map[X]int
@@ -57,7 +41,7 @@ type denseShape[X comparable, D any] struct {
 	// valsPool and wordsPool recycle the per-solve value stores (the boxed
 	// []D assignment and the unboxed word store). Without them every solve
 	// of a memoized shape pays a fresh n-element allocation; see the
-	// release methods and the regression benchmark in alloc_test.go.
+	// store's release and the regression benchmark in alloc_test.go.
 	valsPool  sync.Pool
 	wordsPool sync.Pool
 }
@@ -68,55 +52,6 @@ const denseShapeKey = "solver.denseShape"
 // shapeOf returns the system's memoized dense shape.
 func shapeOf[X comparable, D any](sys *eqn.System[X, D]) *denseShape[X, D] {
 	return sys.ShapeMemo(denseShapeKey, func() any { return buildDenseShape(sys) }).(*denseShape[X, D])
-}
-
-// compile builds the dense representation and the initial assignment,
-// shared or not. The shape part is memoized on the System; only the
-// assignment is fresh per solve.
-func compile[X comparable, D any](sys *eqn.System[X, D], init func(X) D, shared bool) *compiled[X, D] {
-	sh := shapeOf(sys)
-	c := &compiled[X, D]{denseShape: sh, sc: wholeScope(sys, sh), init: init}
-	if shared {
-		c.ptrs = make([]atomic.Pointer[D], len(sh.order))
-	} else if v, ok := sh.valsPool.Get().([]D); ok && len(v) == len(sh.order) {
-		c.vals = v
-	} else {
-		c.vals = make([]D, len(sh.order))
-	}
-	for i, x := range sh.order {
-		c.set(i, init(x))
-	}
-	return c
-}
-
-// at returns unknown i's value.
-func (c *compiled[X, D]) at(i int) D {
-	if c.ptrs != nil {
-		return *c.ptrs[i].Load()
-	}
-	return c.vals[i]
-}
-
-// set makes v unknown i's value; a shared store publishes a fresh copy.
-func (c *compiled[X, D]) set(i int, v D) {
-	if c.ptrs != nil {
-		p := new(D)
-		*p = v
-		c.ptrs[i].Store(p)
-		return
-	}
-	c.vals[i] = v
-}
-
-// release returns the assignment slice to the shape's pool; a shared store
-// has none. Callers must not touch c.vals afterwards; snapshots and sigma
-// maps taken earlier are safe because they copied the values out.
-func (c *compiled[X, D]) release() {
-	if c.vals == nil {
-		return
-	}
-	c.valsPool.Put(c.vals)
-	c.vals = nil
 }
 
 // buildDenseShape compiles the shape: right-hand sides by position and the
@@ -255,16 +190,6 @@ func (sc *scope[X, D]) decomposition() *Decomposition {
 	return newDecomposition(func() [][]int { return rows }, sc.off, sc.dat)
 }
 
-// sigmaMap renders the dense assignment back into the map the public API
-// returns.
-func (c *compiled[X, D]) sigmaMap() map[X]D {
-	sigma := make(map[X]D, len(c.order))
-	for i, x := range c.order {
-		sigma[x] = c.at(i)
-	}
-	return sigma
-}
-
 // denseEval is the reusable evaluation closure pair of one dense run (under
 // PSW and CPW, of one worker): get translates a
 // right-hand side's X-typed reads to slice accesses, and thunk evaluates the
@@ -276,36 +201,36 @@ type denseEval[X comparable, D any] struct {
 	thunk func() D
 }
 
-// evaluator builds the closure pair. PSW and CPW workers each call it once
-// per run, so cur is worker-local. Under PSW, vals may be read
-// concurrently (strata write disjoint ranges; see psw.go for the hand-off
-// argument); CPW's workers read a shared store through its atomic
-// pointers.
-func (c *compiled[X, D]) evaluator() *denseEval[X, D] {
+// evaluator builds the closure pair over the boxed form. PSW and CPW
+// workers each call it once per run, so cur is worker-local. Under PSW,
+// vals may be read concurrently (strata write disjoint ranges; see psw.go
+// for the hand-off argument); CPW's workers read a shared store through
+// its atomic pointers.
+func (bc *boxedCore[X, D]) evaluator() *denseEval[X, D] {
 	e := &denseEval[X, D]{}
 	switch {
-	case c.identInt && c.ptrs != nil:
-		ptrs, initInt := c.ptrs, any(c.init).(func(int) D)
+	case bc.identInt && bc.ptrs != nil:
+		ptrs, initInt := bc.ptrs, any(bc.init).(func(int) D)
 		e.get = any(func(y int) D {
 			if uint(y) < uint(len(ptrs)) {
 				return *ptrs[y].Load()
 			}
 			return initInt(y)
 		}).(func(X) D)
-	case c.ptrs != nil:
+	case bc.ptrs != nil:
 		e.get = func(y X) D {
-			if j, ok := c.idx[y]; ok {
-				return *c.ptrs[j].Load()
+			if j, ok := bc.idx[y]; ok {
+				return *bc.ptrs[j].Load()
 			}
-			return c.init(y)
+			return bc.init(y)
 		}
-	case c.identInt:
+	case bc.identInt:
 		// X is int and order[i] == i, so an unknown is its own position:
 		// get degenerates to a bounds-checked slice load, with the bounds
 		// failure path (an unknown outside the system) falling back to σ₀
 		// exactly like the map lookup miss below. The assertions cannot
 		// fail — identInt is only set when X's dynamic type is int.
-		vals, initInt := c.vals, any(c.init).(func(int) D)
+		vals, initInt := bc.vals, any(bc.init).(func(int) D)
 		e.get = any(func(y int) D {
 			if uint(y) < uint(len(vals)) {
 				return vals[y]
@@ -314,12 +239,12 @@ func (c *compiled[X, D]) evaluator() *denseEval[X, D] {
 		}).(func(X) D)
 	default:
 		e.get = func(y X) D {
-			if j, ok := c.idx[y]; ok {
-				return c.vals[j]
+			if j, ok := bc.idx[y]; ok {
+				return bc.vals[j]
 			}
-			return c.init(y)
+			return bc.init(y)
 		}
 	}
-	e.thunk = func() D { return c.rhs[e.cur](e.get) }
+	e.thunk = func() D { return bc.rhs[e.cur](e.get) }
 	return e
 }

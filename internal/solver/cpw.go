@@ -38,7 +38,7 @@ import (
 //     finds the state queued or running has its value-write ordered before
 //     the next evaluation's reads, and a marker that finds idle re-queues
 //     the unknown itself.
-//   - σ reads are racy but atomic. Values live in buildCore's shared store
+//   - σ reads are racy but atomic. Values live in Run's shared store
 //     (boxed: an atomic pointer to an immutable value; unboxed: atomic
 //     words under a per-unknown seqlock for multi-word strides, see
 //     valuerep.go). A worker may read a neighbor mid-update and see the OLD
@@ -82,7 +82,7 @@ func CPW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 
 // cpwLoop is CPW's run over a built core on the shared store; start is
 // when the run began, for Stats.WallNs.
-func cpwLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (map[X]D, Stats, error) {
+func cpwLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	dec := sc.decomposition()
@@ -106,7 +106,7 @@ func cpwLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config
 	var st Stats
 	st.Unknowns = n
 	if err := r.resume(cfg, "cpw", &st); err != nil {
-		return map[X]D{}, st, err
+		return st, err
 	}
 
 	st.Workers = workers
@@ -139,8 +139,7 @@ func cpwLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config
 		st.WorkerEvals.Observe(int(we))
 	}
 	st.WallNs = time.Since(start).Nanoseconds()
-	sigma, err := r.settle("cpw", &st)
-	return sigma, st, err
+	return st, r.settle("cpw", &st)
 }
 
 // Claim states of one unknown. Only queued→running admits evaluation;

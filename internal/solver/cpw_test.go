@@ -95,15 +95,14 @@ func TestCPWCertifiedOnTestSystems(t *testing.T) {
 }
 
 // wantStores fails the test unless the value stores built under core hold
-// raw words exactly when words is set — in both of buildCore's modes, the
+// raw words exactly when words is set — in both of Run's modes, the
 // sequential solvers' store and CPW's shared one, each in the mode asked
 // for. A cross-store test whose word-store column silently ran on boxed
 // values would pass vacuously.
 func wantStores[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, core Core, words bool) {
 	t.Helper()
 	for _, shared := range []bool{false, true} {
-		vc, _ := buildCore(sys, l, op, init, Config{Core: core}, shared)
-		vc.release()
+		vc := testCore(t, sys, l, op, init, Config{Core: core}, shared)
 		var isShared bool
 		switch c := vc.(type) {
 		case *rawCore[X, D]:
@@ -112,7 +111,7 @@ func wantStores[X comparable, D any](t *testing.T, sys *eqn.System[X, D], l latt
 			isShared = c.ptrs != nil
 		}
 		if _, ok := vc.(*rawCore[X, D]); ok != words || isShared != shared {
-			t.Fatalf("core=%v shared=%v: buildCore returned %T (shared=%v), want words=%v", core, shared, vc, isShared, words)
+			t.Fatalf("core=%v shared=%v: got a %T (shared=%v), want words=%v", core, shared, vc, isShared, words)
 		}
 	}
 }

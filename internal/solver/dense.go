@@ -6,7 +6,7 @@ import (
 )
 
 // rrLoop is RR's loop (Fig. 1) over a built core.
-func rrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
+func rrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	ck := newCkptSink(cfg)
@@ -14,15 +14,15 @@ func rrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 	st.Unknowns = n
 	start, dirty := 0, false
 	if cp, err := resumeCheckpoint(cfg, "rr", sc); err != nil {
-		return vc.sigmaMap(), st, err
+		return st, err
 	} else if cp != nil {
 		if err := vc.restore(cp); err != nil {
-			return vc.sigmaMap(), st, err
+			return st, err
 		}
 		cp.restoreStats(&st)
 		start, dirty = cp.Cursor, cp.Dirty
 		if start < 0 || start >= n {
-			return vc.sigmaMap(), st, fmt.Errorf("%w: rr cursor %d out of range", ErrBadCheckpoint, start)
+			return st, fmt.Errorf("%w: rr cursor %d out of range", ErrBadCheckpoint, start)
 		}
 	}
 	// capture snapshots the interrupted sweep: k is the order index of the
@@ -42,7 +42,7 @@ func rrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 				if evaled {
 					st.Rounds++
 				}
-				return vc.sigmaMap(), st, err
+				return st, err
 			}
 			if ck.due(st.Evals) {
 				ck.emit(st.Evals, capture(k, dirty))
@@ -54,7 +54,7 @@ func rrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 				if evaled {
 					st.Rounds++
 				}
-				return vc.sigmaMap(), st, err
+				return st, err
 			}
 			st.Evals++
 			evaled = true
@@ -66,7 +66,7 @@ func rrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 		start = 0
 		st.Rounds++
 		if !dirty {
-			return vc.sigmaMap(), st, nil
+			return st, nil
 		}
 		dirty = false
 	}
@@ -74,7 +74,7 @@ func rrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 
 // wLoop is W's loop (Fig. 2) over a built core: the LIFO stack holds order
 // positions and the membership set is a bitset.
-func wLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
+func wLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	ck := newCkptSink(cfg)
@@ -90,17 +90,17 @@ func wLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, 
 		}
 	}
 	if cp, err := resumeCheckpoint(cfg, "w", sc); err != nil {
-		return vc.sigmaMap(), st, err
+		return st, err
 	} else if cp != nil {
 		if err := vc.restore(cp); err != nil {
-			return vc.sigmaMap(), st, err
+			return st, err
 		}
 		cp.restoreStats(&st)
 		// cp.Queue holds the stack bottom-to-top; pushing in order restores
 		// the exact LIFO state.
 		queued, qerr := sc.queueIndices(cp.Queue)
 		if qerr != nil {
-			return vc.sigmaMap(), st, qerr
+			return st, qerr
 		}
 		for _, i := range queued {
 			push(int32(i))
@@ -125,7 +125,7 @@ func wLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, 
 	step := vc.stepper(false)
 	for len(stack) > 0 {
 		if err := wd.check(st.Evals); err != nil {
-			return vc.sigmaMap(), st, attachCheckpoint(err, capture())
+			return st, attachCheckpoint(err, capture())
 		}
 		if ck.due(st.Evals) {
 			ck.emit(st.Evals, capture())
@@ -139,7 +139,7 @@ func wLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, 
 			// The failed evaluation never happened: keep x scheduled so the
 			// checkpoint resumes by re-evaluating it.
 			push(i)
-			return vc.sigmaMap(), st, attachCheckpoint(wd.failEval(ee, st.Evals), capture())
+			return st, attachCheckpoint(wd.failEval(ee, st.Evals), capture())
 		}
 		st.Evals++
 		if changed {
@@ -153,11 +153,11 @@ func wLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, 
 			}
 		}
 	}
-	return vc.sigmaMap(), st, nil
+	return st, nil
 }
 
 // srrLoop is SRR's loop (Fig. 3) over a built core.
-func srrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
+func srrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	ck := newCkptSink(cfg)
@@ -165,15 +165,15 @@ func srrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config
 	st.Unknowns = n
 	resumeLevel := 0
 	if cp, err := resumeCheckpoint(cfg, "srr", sc); err != nil {
-		return vc.sigmaMap(), st, err
+		return st, err
 	} else if cp != nil {
 		if err := vc.restore(cp); err != nil {
-			return vc.sigmaMap(), st, err
+			return st, err
 		}
 		cp.restoreStats(&st)
 		resumeLevel = cp.Cursor
 		if resumeLevel < 1 || resumeLevel > n {
-			return vc.sigmaMap(), st, fmt.Errorf("%w: srr cursor %d out of range", ErrBadCheckpoint, resumeLevel)
+			return st, fmt.Errorf("%w: srr cursor %d out of range", ErrBadCheckpoint, resumeLevel)
 		}
 	}
 	capture := func(i int) *Checkpoint[X, D] {
@@ -218,13 +218,13 @@ func srrLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config
 		}
 	}
 	err := solve(n, resumeLevel > 0)
-	return vc.sigmaMap(), st, err
+	return st, err
 }
 
 // swLoop is SW's loop (Fig. 4) over a built core: the index-ordered binary
 // heap collapses into the monotone bucket queue, because an unknown's
 // priority is exactly its order position.
-func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
+func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	ck := newCkptSink(cfg)
@@ -233,15 +233,15 @@ func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 
 	q := newBucketQueue(0, n-1)
 	if cp, err := resumeCheckpoint(cfg, "sw", sc); err != nil {
-		return vc.sigmaMap(), st, err
+		return st, err
 	} else if cp != nil {
 		if err := vc.restore(cp); err != nil {
-			return vc.sigmaMap(), st, err
+			return st, err
 		}
 		cp.restoreStats(&st)
 		queued, qerr := sc.queueIndices(cp.Queue)
 		if qerr != nil {
-			return vc.sigmaMap(), st, qerr
+			return st, qerr
 		}
 		for _, i := range queued {
 			q.push(i)
@@ -261,7 +261,7 @@ func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 	step := vc.stepper(false)
 	for !q.empty() {
 		if err := wd.check(st.Evals); err != nil {
-			return vc.sigmaMap(), st, attachCheckpoint(err, capture())
+			return st, attachCheckpoint(err, capture())
 		}
 		if ck.due(st.Evals) {
 			ck.emit(st.Evals, capture())
@@ -273,7 +273,7 @@ func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 			// The failed evaluation never happened: keep x scheduled so the
 			// checkpoint resumes by re-evaluating it.
 			q.push(i)
-			return vc.sigmaMap(), st, attachCheckpoint(wd.failEval(ee, st.Evals), capture())
+			return st, attachCheckpoint(wd.failEval(ee, st.Evals), capture())
 		}
 		st.Evals++
 		if changed {
@@ -287,5 +287,5 @@ func swLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config,
 			}
 		}
 	}
-	return vc.sigmaMap(), st, nil
+	return st, nil
 }

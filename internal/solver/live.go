@@ -9,33 +9,34 @@ import (
 	"warrow/internal/lattice"
 )
 
-// Live is a value store that persists between solves of one system with
-// SRR, SW or PSW: the incremental engine's live assignment (internal/incr),
-// kept by order position in the store buildCore would pick — the word
-// store where the lattice has a raw encoding and the operator is
-// structured, boxed values otherwise.
+// Live is a value store that persists between solves of one system: the
+// incremental engine's live assignment (internal/incr), kept by order
+// position in the store Run would pick — the word store where the lattice
+// has a raw encoding and the operator is structured, boxed values
+// otherwise. It runs RR, W, SRR, SW or PSW.
 //
 // Solve runs the whole system on the store and leaves the solution there.
-// SolveCone then re-solves a dirty cone in place: its members restart from
-// σ₀, every read of an unknown outside the cone loads that unknown's
-// stored final from its slot, and only the members' new values are
-// written to the caller's map. The cone runs the solver's own loop over a
-// scope of the parent's compiled shape (see scope): local positions over
-// the members, influence rows restricted to them. Values, Stats, abort
-// reports and checkpoints are therefore those of a solve of the subsystem
-// the members induce, with every other unknown pinned at its final —
-// which, by stratum-compositionality, is the scratch solve's (DESIGN.md
-// §12). A checkpoint of a cone fingerprints that subsystem, so it resumes
-// only on the same cone.
+// SolveCone then re-solves a dirty cone in place, with SRR, SW or PSW only:
+// a cone is exact for the structured solvers alone (DESIGN.md §12). Its
+// members restart from σ₀, every read of an unknown outside the cone loads
+// that unknown's stored final from its slot, and only the members' new
+// values are written to the caller's map. The cone runs the solver's own
+// loop over a scope of the parent's compiled shape (see scope): local
+// positions over the members, influence rows restricted to them. Values,
+// Stats, abort reports and checkpoints are therefore those of a solve of
+// the subsystem the members induce, with every other unknown pinned at its
+// final — which, by stratum-compositionality, is the scratch solve's
+// (DESIGN.md §12). A checkpoint of a cone fingerprints that subsystem, so
+// it resumes only on the same cone.
 //
 // The caller's map is its copy of the solution: a completed run writes the
 // values of its unknowns that changed to the map it is given, so every run
 // after the first completed one must be given the same map. A run that
 // fails or aborts puts its unknowns' slots back as it found them, so the
 // store always holds the last completed solution. A value the words cannot
-// hold, and Config.Core = CoreDense, convert the store to boxed values for
-// good, an O(n) step; the run is then redone on them as redoBoxed does for
-// any solve.
+// hold, σ₀ included, and Config.Core = CoreDense convert the store to
+// boxed values for good, an O(n) step; the run is then redone on them as
+// redoBoxed does for any solve.
 //
 // A Live is not safe for concurrent use; like the system it solves, it
 // expects edits and solves to be serialized.
@@ -46,14 +47,8 @@ type Live[X comparable, D any] struct {
 	init func(X) D
 	name string
 
-	// The store holds the unknown at order position p in
-	// words[p*stride:(p+1)*stride] while words is non-nil, in vals[p]
-	// otherwise; it is allocated by the first run.
-	raw    lattice.Raw[D]
-	ro     rawOperator[D]
-	stride int
-	words  []uint64
-	vals   []D
+	// s is the store, made by the first run and never released.
+	s *store[X, D]
 	// solved is the number of leading slots a completed Solve filled; the
 	// slots after it were appended for unknowns defined since, which no
 	// map holds until a run solves them.
@@ -68,13 +63,14 @@ type Live[X comparable, D any] struct {
 }
 
 // NewLive returns an empty live store for solving sys with the named
-// solver ("srr", "sw" or "psw"), update operator op and initial assignment
-// init. init is consulted on every run, so it may change between runs.
+// solver ("rr", "w", "srr", "sw" or "psw"), update operator op and initial
+// assignment init. init is consulted on every run, so it may change
+// between runs.
 func NewLive[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, name string) (*Live[X, D], error) {
 	switch name {
-	case "srr", "sw", "psw":
+	case "rr", "w", "srr", "sw", "psw":
 	default:
-		return nil, fmt.Errorf("solver: no live store for %q (want srr, sw or psw)", name)
+		return nil, fmt.Errorf("solver: no live store for %q (want rr, w, srr, sw or psw)", name)
 	}
 	return &Live[X, D]{sys: sys, l: l, op: op, init: init, name: name}, nil
 }
@@ -88,8 +84,13 @@ func (lv *Live[X, D]) Solve(cfg Config, vals map[X]D) (Stats, error) {
 // SolveCone re-solves the unknowns at the given order positions — a dirty
 // cone, ascending, as Decomposition.Cone returns it — on the store, from σ₀
 // or from cfg.Resume, reading every other unknown's value from the store,
-// and on success writes the members' values to vals.
+// and on success writes the members' values to vals. It refuses RR and W,
+// whose sweeps read cross-stratum intermediates, so that no cone of theirs
+// is exact.
 func (lv *Live[X, D]) SolveCone(members []int, cfg Config, vals map[X]D) (Stats, error) {
+	if lv.name == "rr" || lv.name == "w" {
+		return Stats{}, fmt.Errorf("solver: %s cannot re-solve a cone (only srr, sw and psw solve one exactly)", lv.name)
+	}
 	if len(members) == 0 {
 		return Stats{}, nil
 	}
@@ -109,66 +110,52 @@ func (lv *Live[X, D]) solve(pos []int, cfg Config, vals map[X]D) (Stats, error) 
 // run is one run of the solver's loop on the store.
 func (lv *Live[X, D]) run(pos []int, cfg Config, vals map[X]D) (Stats, error) {
 	start := time.Now()
-	sh := shapeOf(lv.sys)
-	lv.fit(len(sh.order), cfg)
-	sc := lv.scopeOf(sh, pos)
-	lv.save(&sc)
-	if lv.reset(&sc) != nil {
-		// A σ₀ the words cannot hold: as buildCore does, run on boxed
-		// values.
-		lv.restore(&sc)
-		lv.box()
-		lv.save(&sc)
-		lv.reset(&sc)
+	s := lv.fit(cfg)
+	s.sc = lv.scopeOf(s.denseShape, pos)
+	lv.save()
+	var st Stats
+	err := s.reset()
+	if err == nil {
+		// The watchdog breaks ties by order position; local positions are
+		// ascending in it, so a cone's reports rank as the subsystem's
+		// would.
+		vc, wd := newCore(s, lv.l, lv.op, cfg)
+		lp, _ := loopOf[X, D](lv.name)
+		st, err = lp(vc, wd, cfg, start)
 	}
-	vc, wd := lv.core(sh, sc, cfg)
-	lp, _ := loopOf[X, D](lv.name)
-	_, st, err := lp(vc, wd, cfg, start)
 	if err != nil {
-		lv.restore(&sc)
+		lv.restore()
 		return st, err
 	}
-	lv.write(&sc, vals)
+	lv.write(vals)
 	if pos == nil {
-		lv.solved = sc.n
+		lv.solved = s.sc.n
 	}
 	return st, nil
 }
 
-// fit picks the store's form and sizes it for n unknowns. The first run
-// picks words where rawStoreFor allows them, as buildCore does, and boxed
-// values otherwise; a later run it disallows them for (CoreDense) converts
-// the store to boxed values. When the system has grown, fit appends slots
-// for the new unknowns, which every run that reads them solves first.
-func (lv *Live[X, D]) fit(n int, cfg Config) {
-	raw, ro, words := rawStoreFor(lv.l, lv.op, cfg)
-	switch {
-	case lv.words == nil && lv.vals == nil && words:
-		lv.raw, lv.ro, lv.stride = raw, ro, raw.RawWords()
-		lv.words = make([]uint64, n*lv.stride)
-	case lv.words == nil && lv.vals == nil:
-		lv.vals = make([]D, n)
-	case !words:
-		lv.box()
+// fit makes the store on the first run, or sizes it for the system's
+// unknowns. The first run picks words where wordsFor allows them, as Run
+// does, and boxed values otherwise; a later run it disallows them for
+// (CoreDense) converts the store to boxed values. When the system has
+// grown, fit appends slots for the new unknowns, which every run that
+// reads them solves first.
+func (lv *Live[X, D]) fit(cfg Config) *store[X, D] {
+	raw := wordsFor(lv.l, lv.op, cfg)
+	if lv.s == nil {
+		lv.s = newStore(lv.sys, lv.init, raw, false)
+	} else if raw == nil && lv.s.words != nil {
+		lv.s.box()
+		lv.savedWords = nil
 	}
-	if lv.words != nil && len(lv.words) < n*lv.stride {
-		lv.words = append(lv.words, make([]uint64, n*lv.stride-len(lv.words))...)
-	} else if lv.words == nil && len(lv.vals) < n {
-		lv.vals = append(lv.vals, make([]D, n-len(lv.vals))...)
+	s := lv.s
+	s.denseShape = shapeOf(lv.sys)
+	if n := len(s.order); s.words != nil && len(s.words) < n*s.stride {
+		s.words = append(s.words, make([]uint64, n*s.stride-len(s.words))...)
+	} else if s.words == nil && len(s.vals) < n {
+		s.vals = append(s.vals, make([]D, n-len(s.vals))...)
 	}
-}
-
-// box converts a word store to boxed values.
-func (lv *Live[X, D]) box() {
-	if lv.words == nil {
-		return
-	}
-	s := lv.stride
-	lv.vals = make([]D, len(lv.words)/s)
-	for p := range lv.vals {
-		lv.vals[p] = lv.raw.RawDecode(lv.words[p*s : (p+1)*s])
-	}
-	lv.words, lv.savedWords = nil, nil
+	return s
 }
 
 // scopeOf returns the scope of pos over sh: the whole system when pos is
@@ -202,37 +189,38 @@ func (lv *Live[X, D]) scopeOf(sh *denseShape[X, D], pos []int) scope[X, D] {
 }
 
 // save copies the scope's slots aside, by local position.
-func (lv *Live[X, D]) save(sc *scope[X, D]) {
-	if lv.words == nil {
+func (lv *Live[X, D]) save() {
+	s, sc := lv.s, &lv.s.sc
+	if s.words == nil {
 		lv.savedVals = slices.Grow(lv.savedVals[:0], sc.n)[:sc.n]
 		for k := range lv.savedVals {
-			lv.savedVals[k] = lv.vals[sc.parent(k)]
+			lv.savedVals[k] = s.vals[sc.parent(k)]
 		}
 		return
 	}
-	s := lv.stride
-	lv.savedWords = slices.Grow(lv.savedWords[:0], sc.n*s)[:sc.n*s]
+	w := s.stride
+	lv.savedWords = slices.Grow(lv.savedWords[:0], sc.n*w)[:sc.n*w]
 	if sc.pos == nil {
-		copy(lv.savedWords, lv.words)
+		copy(lv.savedWords, s.words)
 		return
 	}
 	for k, p := range sc.pos {
-		copy(lv.savedWords[k*s:(k+1)*s], lv.words[p*s:(p+1)*s])
+		copy(lv.savedWords[k*w:(k+1)*w], s.slot(p))
 	}
 }
 
 // restore puts back the slots save copied aside.
-func (lv *Live[X, D]) restore(sc *scope[X, D]) {
-	if lv.words == nil {
+func (lv *Live[X, D]) restore() {
+	s, sc := lv.s, &lv.s.sc
+	if s.words == nil {
 		for k, v := range lv.savedVals {
-			lv.vals[sc.parent(k)] = v
+			s.vals[sc.parent(k)] = v
 		}
 		return
 	}
-	s := lv.stride
+	w := s.stride
 	for k := 0; k < sc.n; k++ {
-		p := sc.parent(k)
-		copy(lv.words[p*s:(p+1)*s], lv.savedWords[k*s:(k+1)*s])
+		copy(s.slot(sc.parent(k)), lv.savedWords[k*w:(k+1)*w])
 	}
 }
 
@@ -240,74 +228,14 @@ func (lv *Live[X, D]) restore(sc *scope[X, D]) {
 // word store a slot that ends where it started, and that a completed Solve
 // filled, already has its value in vals and is skipped: most of a cone's
 // members end at their previous finals.
-func (lv *Live[X, D]) write(sc *scope[X, D], vals map[X]D) {
-	order := sc.sh.order
-	if lv.words == nil {
-		for k := 0; k < sc.n; k++ {
-			p := sc.parent(k)
-			vals[order[p]] = lv.vals[p]
-		}
-		return
-	}
-	s := lv.stride
+func (lv *Live[X, D]) write(vals map[X]D) {
+	s, sc := lv.s, &lv.s.sc
+	w := s.stride
 	for k := 0; k < sc.n; k++ {
 		p := sc.parent(k)
-		w := lv.words[p*s : (p+1)*s]
-		if p < lv.solved && slices.Equal(w, lv.savedWords[k*s:(k+1)*s]) {
+		if s.words != nil && p < lv.solved && slices.Equal(s.slot(p), lv.savedWords[k*w:(k+1)*w]) {
 			continue
 		}
-		vals[order[p]] = lv.raw.RawDecode(w)
+		vals[s.order[p]] = s.value(p)
 	}
 }
-
-// reset sets the scope's unknowns to σ₀. On the word store it fails,
-// wrapping lattice.ErrUnencodable, when the words cannot hold one of them.
-func (lv *Live[X, D]) reset(sc *scope[X, D]) (err error) {
-	order := sc.sh.order
-	if lv.words != nil {
-		defer recoverUnencodable(&err)
-		s := lv.stride
-		for k := 0; k < sc.n; k++ {
-			p := sc.parent(k)
-			lv.raw.RawEncode(lv.words[p*s:(p+1)*s], lv.init(order[p]))
-		}
-		return nil
-	}
-	for k := 0; k < sc.n; k++ {
-		p := sc.parent(k)
-		lv.vals[p] = lv.init(order[p])
-	}
-	return nil
-}
-
-// core builds the run's core over the store.
-func (lv *Live[X, D]) core(sh *denseShape[X, D], sc scope[X, D], cfg Config) (execCore[X, D], *watchdog[X]) {
-	// The watchdog breaks ties by order position; local positions are
-	// ascending in it, so a cone's reports rank as the subsystem's would.
-	var vc execCore[X, D]
-	var wd *watchdog[X]
-	if lv.words != nil {
-		vc, wd = newRawCore(&rawCompiled[X, D]{denseShape: sh, sc: sc, init: lv.init, raw: lv.raw, stride: lv.stride, words: lv.words}, lv.ro, cfg)
-	} else {
-		vc, wd = newBoxedCore(&compiled[X, D]{denseShape: sh, sc: sc, init: lv.init, vals: lv.vals}, lv.l, lv.op, cfg)
-	}
-	return &liveCore[X, D]{vc}, wd
-}
-
-// liveCore is a core over a Live store. Its step functions take the
-// scope's local positions, it renders no σ map — the store's owner reads
-// the members' values itself — and its store goes back to no pool.
-type liveCore[X comparable, D any] struct{ execCore[X, D] }
-
-func (lc *liveCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int, *EvalError) {
-	step := lc.execCore.stepper(phases)
-	pos := lc.scope().pos
-	if pos == nil {
-		return step
-	}
-	return func(i int, accel bool) (Phase, bool, int, *EvalError) { return step(pos[i], accel) }
-}
-
-func (*liveCore[X, D]) sigmaMap() map[X]D { return nil }
-
-func (*liveCore[X, D]) release() {}

@@ -77,7 +77,7 @@ func PSW[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Op
 
 // pswLoop is PSW's run over a built core; start is when the run began, for
 // Stats.WallNs.
-func pswLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (map[X]D, Stats, error) {
+func pswLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (Stats, error) {
 	sc := vc.scope()
 	n := sc.n
 	dec := sc.decomposition()
@@ -94,7 +94,7 @@ func pswLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config
 	var st Stats
 	st.Unknowns = n
 	if err := r.resume(cfg, "psw", &st); err != nil {
-		return map[X]D{}, st, err
+		return st, err
 	}
 
 	workers := cfg.workers()
@@ -106,7 +106,7 @@ func pswLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config
 
 	if len(strata) == 0 {
 		st.WallNs = time.Since(start).Nanoseconds()
-		return map[X]D{}, st, nil
+		return st, nil
 	}
 
 	if workers == 1 {
@@ -116,8 +116,7 @@ func pswLoop[X comparable, D any](vc execCore[X, D], wd *watchdog[X], cfg Config
 	}
 
 	st.WallNs = time.Since(start).Nanoseconds()
-	sigma, err := r.settle("psw", &st)
-	return sigma, st, err
+	return st, r.settle("psw", &st)
 }
 
 // poolRun is the state PSW and CPW share across their worker pool: the
@@ -281,21 +280,20 @@ func (r *poolRun[X, D]) observeQueue(high int64) {
 }
 
 // settle ends a run once every worker has stopped: it copies the counters
-// into st and renders σ. After an abort it rewrites the report's Evals to
-// the final count — the first abort's report was built while other
-// workers still held budget reservations, each since performed or rolled
-// back — and attaches the checkpoint, which records per stratum whether it
-// stabilized, which indices a started one still had queued, and otherwise
-// that it starts fresh.
-func (r *poolRun[X, D]) settle(name string, st *Stats) (map[X]D, error) {
+// into st and returns the run's error. After an abort it rewrites the
+// report's Evals to the final count — the first abort's report was built
+// while other workers still held budget reservations, each since performed
+// or rolled back — and attaches the checkpoint, which records per stratum
+// whether it stabilized, which indices a started one still had queued, and
+// otherwise that it starts fresh.
+func (r *poolRun[X, D]) settle(name string, st *Stats) error {
 	st.Evals = int(r.performed.Load())
 	st.Updates = int(r.updates.Load())
 	st.Retries = int(r.retries.Load())
 	st.MaxQueue = int(r.maxQueue.Load())
-	sigma := r.vc.sigmaMap()
 	err := r.firstErr
 	if err == nil {
-		return sigma, nil
+		return nil
 	}
 	var ae *AbortError
 	if errors.As(err, &ae) {
@@ -314,7 +312,7 @@ func (r *poolRun[X, D]) settle(name string, st *Stats) (map[X]D, error) {
 	for _, s := range r.suspended {
 		cp.Strata[s.si] = StratumCheckpoint{Started: true, Queue: s.queue}
 	}
-	return sigma, attachCheckpoint(err, cp)
+	return attachCheckpoint(err, cp)
 }
 
 // pswRun is the state of one PSW invocation. The core's assignment (boxed

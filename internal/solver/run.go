@@ -40,16 +40,23 @@ func Run[X comparable, D any](name string, sys *eqn.System[X, D], l lattice.Latt
 	}
 	return redoBoxed(cfg, func(cfg Config) (map[X]D, Stats, error) {
 		start := time.Now()
-		vc, wd := buildCore(sys, l, op, init, cfg, shared)
-		defer vc.release()
-		return lp(vc, wd, cfg, start)
+		s := newStore(sys, init, wordsFor(l, op, cfg), shared)
+		defer s.release()
+		if err := s.reset(); err != nil {
+			// A σ₀ the words cannot hold: redoBoxed runs the solve on boxed
+			// values.
+			return nil, Stats{}, err
+		}
+		vc, wd := newCore(s, l, op, cfg)
+		st, err := lp(vc, wd, cfg, start)
+		return s.sigma(), st, err
 	})
 }
 
 // loop is one global solver's iteration over a built core and its
 // watchdog; start is when the run began, for the Stats.WallNs of PSW and
 // CPW.
-type loop[X comparable, D any] func(vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (map[X]D, Stats, error)
+type loop[X comparable, D any] func(vc execCore[X, D], wd *watchdog[X], cfg Config, start time.Time) (Stats, error)
 
 // loopOf is the table of the global solvers: it returns the named solver's
 // loop, and whether that loop runs on the shared store (CPW's workers step
@@ -69,15 +76,15 @@ func loopOf[X comparable, D any](name string) (lp loop[X, D], shared bool) {
 	case "cpw":
 		return cpwLoop[X, D], true
 	case "slr2":
-		return func(vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
+		return func(vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (Stats, error) {
 			return slrxLoop(vc, wd, cfg, "slr2", restartNone)
 		}, false
 	case "slr3":
-		return func(vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
+		return func(vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (Stats, error) {
 			return slrxLoop(vc, wd, cfg, "slr3", restartAll)
 		}, false
 	case "slr4":
-		return func(vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (map[X]D, Stats, error) {
+		return func(vc execCore[X, D], wd *watchdog[X], cfg Config, _ time.Time) (Stats, error) {
 			return slrxLoop(vc, wd, cfg, "slr4", restartSCC)
 		}, false
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -90,6 +91,40 @@ func checkRunDispatch[D any](t *testing.T, l lattice.Lattice[D], sys *eqn.System
 			if gotSt.Evals != wantSt.Evals || gotSt.Updates != wantSt.Updates || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: resumed evals/updates %d/%d, uninterrupted %d/%d (values equal: %v)",
 					what, gotSt.Evals, gotSt.Updates, wantSt.Evals, wantSt.Updates, reflect.DeepEqual(got, want))
+			}
+		}
+	}
+}
+
+// TestRefusedResumeReturnsInit: every global solver refuses a checkpoint
+// another solver captured with ErrBadCheckpoint, before a single
+// evaluation, and returns σ₀ for every unknown, on both value stores.
+func TestRefusedResumeReturnsInit(t *testing.T) {
+	l := lattice.Ints
+	sys := eqgen.New(eqgen.Config{Seed: 3, Dom: eqgen.Interval, N: 48}).Interval
+	init := func(x int) lattice.Interval { return lattice.Singleton(int64(x)) }
+	op := WarrowOp[int](l)
+	for _, core := range []Core{CoreDense, CoreAuto} {
+		for k, name := range Globals {
+			other := Globals[(k+1)%len(Globals)]
+			_, _, err := Run(other, sys, l, op, init, Config{Core: core, MaxEvals: 10})
+			cp, ok := CheckpointOf[int, lattice.Interval](err)
+			if !ok {
+				t.Fatalf("%s: budget abort carries no checkpoint: %v", other, err)
+			}
+			sigma, st, err := Run(name, sys, l, op, init, Config{Core: core, Resume: cp})
+			if !errors.Is(err, ErrBadCheckpoint) || st.Evals != 0 {
+				t.Errorf("%s/%s resuming %s: err %v after %d evals, want ErrBadCheckpoint after 0", name, core, other, err, st.Evals)
+			}
+			if len(sigma) != sys.Len() {
+				t.Errorf("%s/%s: returned %d values, want σ₀ for all %d unknowns", name, core, len(sigma), sys.Len())
+				continue
+			}
+			for _, x := range sys.Order() {
+				if !l.Eq(sigma[x], init(x)) {
+					t.Errorf("%s/%s: value of %d = %s, want σ₀ %s", name, core, x, l.Format(sigma[x]), l.Format(init(x)))
+					break
+				}
 			}
 		}
 	}

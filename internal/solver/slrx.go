@@ -260,7 +260,7 @@ type slrFrame struct {
 // since their last evaluation), with the update operator gated on the
 // widening-point set and (SLR3/SLR4) the iterative, once-per-point restart
 // cascade. name is the member's checkpoint name and mode its restart.
-func slrxLoop[X comparable, D any](core execCore[X, D], wd *watchdog[X], cfg Config, name string, mode restartMode) (map[X]D, Stats, error) {
+func slrxLoop[X comparable, D any](core execCore[X, D], wd *watchdog[X], cfg Config, name string, mode restartMode) (Stats, error) {
 	sc := core.scope()
 	n := sc.n
 	w := wpointsOf(sc.sys)
@@ -269,7 +269,7 @@ func slrxLoop[X comparable, D any](core execCore[X, D], wd *watchdog[X], cfg Con
 	st.Unknowns = n
 	st.SCCs = w.ncomp
 	if n == 0 {
-		return core.sigmaMap(), st, nil
+		return st, nil
 	}
 
 	dirty := newBitset(n)
@@ -281,15 +281,15 @@ func slrxLoop[X comparable, D any](core execCore[X, D], wd *watchdog[X], cfg Con
 		}
 	}
 	if cp, err := resumeCheckpoint(cfg, name, sc); err != nil {
-		return core.sigmaMap(), st, err
+		return st, err
 	} else if cp != nil {
 		if err := core.restore(cp); err != nil {
-			return core.sigmaMap(), st, err
+			return st, err
 		}
 		cp.restoreStats(&st)
 		queued, qerr := sc.queueIndices(cp.Queue)
 		if qerr != nil {
-			return core.sigmaMap(), st, qerr
+			return st, qerr
 		}
 		for _, i := range queued {
 			mark(i)
@@ -362,7 +362,7 @@ func slrxLoop[X comparable, D any](core execCore[X, D], wd *watchdog[X], cfg Con
 			continue
 		}
 		if err := wd.check(st.Evals); err != nil {
-			return core.sigmaMap(), st, attachCheckpoint(err, capture())
+			return st, attachCheckpoint(err, capture())
 		}
 		if ck.due(st.Evals) {
 			ck.emit(st.Evals, capture())
@@ -373,7 +373,7 @@ func slrxLoop[X comparable, D any](core execCore[X, D], wd *watchdog[X], cfg Con
 		if ee != nil {
 			// The failed evaluation never happened: i stays dirty so the
 			// checkpoint resumes by re-evaluating it.
-			return core.sigmaMap(), st, attachCheckpoint(wd.failEval(ee, st.Evals), capture())
+			return st, attachCheckpoint(wd.failEval(ee, st.Evals), capture())
 		}
 		dirty.clear(i)
 		dc--
@@ -427,5 +427,5 @@ func slrxLoop[X comparable, D any](core execCore[X, D], wd *watchdog[X], cfg Con
 			st.MaxQueue = dc
 		}
 	}
-	return core.sigmaMap(), st, nil
+	return st, nil
 }

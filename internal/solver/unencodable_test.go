@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"warrow/internal/eqgen"
 	"warrow/internal/eqn"
 	"warrow/internal/lattice"
 )
@@ -113,6 +114,67 @@ func TestUnencodableRedoneBoxed(t *testing.T) {
 		budget.Core = CoreAuto
 		runOn(s.solve, budget).agrees(t, s.name+"/budget", cut)
 		runOn(s.solve, Config{Workers: 2, Resume: cut.cp}).agrees(t, s.name+"/resume", resumed)
+	}
+}
+
+// TestUnencodableInitialAssignment: a σ₀ the words cannot hold sends every
+// global solver's CoreAuto run to boxed values, where it answers exactly as
+// under CoreDense — values, Stats, and at a budget the abort report and
+// checkpoint. The two systems are eqgen's, with their fused right-hand
+// sides: an interval system where one unknown starts with the finite bound
+// MaxInt64, and a powerset system where one starts with an element outside
+// the universe. CPW runs at one worker, where its schedule is fixed.
+func TestUnencodableInitialAssignment(t *testing.T) {
+	ig := eqgen.New(eqgen.Config{Seed: 3, Dom: eqgen.Interval, N: 64, NonMonoDensity: 0.2}).Interval
+	checkUnencodableInit(t, ig, lattice.Lattice[iv](lattice.Ints), func(x int) iv {
+		if x == 5 {
+			return lattice.Range(0, math.MaxInt64)
+		}
+		return lattice.EmptyInterval
+	})
+	pg := eqgen.New(eqgen.Config{Seed: 3, Dom: eqgen.Powerset, N: 64, NonMonoDensity: 0.2}).Powerset
+	checkUnencodableInit(t, pg, lattice.Lattice[lattice.Set[int]](eqgen.PowersetL()), func(x int) lattice.Set[int] {
+		if x == 5 {
+			return lattice.NewSet(2, 40)
+		}
+		return lattice.Set[int]{}
+	})
+}
+
+func checkUnencodableInit[D any](t *testing.T, sys *eqn.System[int, D], l lattice.Lattice[D], init func(int) D) {
+	t.Helper()
+	type outcome struct {
+		sigma map[int]D
+		st    Stats
+		rep   AbortReport
+		cp    *Checkpoint[int, D]
+		ok    bool
+	}
+	run := func(name string, cfg Config) outcome {
+		sigma, st, err := Run(name, sys, l, WarrowOp[int](l), init, cfg)
+		st.WallNs = 0
+		o := outcome{sigma: sigma, st: st, ok: err == nil}
+		o.rep, _ = ReportOf(err)
+		o.rep.Elapsed, o.rep.Checkpoint = 0, nil
+		o.cp, _ = CheckpointOf[int, D](err)
+		return o
+	}
+	for _, name := range Globals {
+		full := Config{Core: CoreDense, Workers: 1, MaxEvals: 20_000}
+		want := run(name, full)
+		budget := full
+		budget.MaxEvals = max(1, want.st.Evals/2)
+		wantCut := run(name, budget)
+		if wantCut.cp == nil {
+			t.Fatalf("%s: budget %d: no checkpoint", name, budget.MaxEvals)
+		}
+		full.Core, budget.Core = CoreAuto, CoreAuto
+		for what, c := range map[string][2]outcome{"full": {run(name, full), want}, "budget": {run(name, budget), wantCut}} {
+			if !reflect.DeepEqual(c[0], c[1]) {
+				t.Errorf("%s %s: CoreAuto answers with stats %+v, report %+v; CoreDense with %+v, %+v (values equal: %v, checkpoints equal: %v)",
+					name, what, c[0].st, c[0].rep, c[1].st, c[1].rep, reflect.DeepEqual(c[0].sigma, c[1].sigma), reflect.DeepEqual(c[0].cp, c[1].cp))
+			}
+		}
 	}
 }
 

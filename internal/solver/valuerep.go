@@ -1,52 +1,57 @@
 // Value stores of the compiled global solvers.
 //
 // Every global solver loop — RR, W, SRR and SW (dense.go), PSW (psw.go),
-// CPW (cpw.go) and SLR2–4 (slrx.go) — is written against execCore, which
-// hides how the assignment is stored. Two implementations exist:
+// CPW (cpw.go) and SLR2–4 (slrx.go) — is written against execCore, over
+// one store: the assignment by order position, in one of two forms.
 //
-//   - boxedCore keeps []D exactly as compile.go builds it;
-//   - rawCore stores every value as raw machine words (lattice.Raw): the
-//     assignment is one flat []uint64, update steps run entirely on word
-//     slices, and a boxed D materializes only at the boundaries — snapshots,
-//     sigma maps, and right-hand sides that have no fused raw form.
+//   - Boxed values: a []D.
+//   - Raw machine words (lattice.Raw): the assignment is one flat
+//     []uint64, update steps run entirely on word slices, and a boxed D
+//     materializes only at the boundaries — snapshots, the σ map, and
+//     right-hand sides that have no fused raw form.
 //
-// Selection happens in buildCore: under CoreAuto the word store is used
-// when the lattice has a raw encoding (lattice.AsRaw), the update operator
-// is structured (rawOperator — WarrowOp and friends), and the initial
-// assignment encodes cleanly; otherwise the solve runs on boxed values. A
-// value the words cannot hold that turns up later — in the resume
-// checkpoint or computed mid-solve — fails the word-store run with
+// The store is the one place σ₀ is written (reset), for a run start and
+// for a cone of Live alike, and it implements the boundaries once for both
+// forms: snapshot, restore, σ rendering (sigma), boxing and release. The
+// loops return Stats and an error only; the store's owner renders the
+// result — Run the σ map, Live the values of the unknowns that changed.
+//
+// Selection: under CoreAuto the word store is used when the lattice has a
+// raw encoding (lattice.AsRaw) and the update operator is structured
+// (rawOperator — WarrowOp and friends), see wordsFor; otherwise the solve
+// runs on boxed values. A value the words cannot hold — in σ₀, in the
+// resume checkpoint, or computed mid-solve — fails the word-store run with
 // lattice.ErrUnencodable, and redoBoxed answers the solve on boxed values
 // instead. Config.Core = CoreDense forces the boxed store.
 //
 // Shared mode. CPW's workers run step functions of one store concurrently,
-// so buildCore's shared flag, which only CPW sets, builds either store in a
-// form other workers can read while one worker writes: the boxed store
-// holds one atomic pointer per unknown to an immutable value in place of
-// the []D slice, and the word store publishes every update under a
-// per-unknown seqlock (see rawCompiled.load and store). A reader sees some
-// value the slot actually held — possibly a stale one, which chaotic
-// warrowing tolerates — but never a torn one. Each step function reads its
-// own unknown directly, because CPW's claim makes its caller that slot's
-// only writer, and the boundaries (sigmaMap, snapshot, restore, release)
-// are the sequential ones, because CPW calls them only while no worker
-// runs. The shared word store comes from and returns to the shape's pool
-// like every other.
+// so its store is built shared, in a form other workers can read while one
+// worker writes: boxed, it holds one atomic pointer per unknown to an
+// immutable value in place of the []D slice; on words, every update is
+// published under a per-unknown seqlock (see store.load and publish). A
+// reader sees some value the slot actually held — possibly a stale one,
+// which chaotic warrowing tolerates — but never a torn one. Each step
+// function reads its own unknown directly, because CPW's claim makes its
+// caller that slot's only writer, and the boundaries (reset, snapshot,
+// restore, sigma, release) are the sequential ones, because they run only
+// while no worker does. A shared store comes from and returns to the
+// shape's pools like every other store Run owns.
 //
 // Bit-identity: the raw lattice operations are certified word-for-word
 // against the boxed ones (lattice.CheckRawAgreement and the raw tests), the
 // structured operators take the same branches on words as on values, and
 // both step functions observe the same phases in the same order — so
 // values, Stats, abort reports and checkpoints are identical across the two
-// stores, and checkpoints (always boxed X-space on the wire) cross freely
+// forms, and checkpoints (always boxed X-space on the wire) cross freely
 // between them. The differential tests in internal/diffsolve pin this per
-// solver, per domain, and across resume boundaries, and compare both
-// stores with a map-based transcription of Figs. 1–4.
+// solver, per domain, and across resume boundaries, and compare both forms
+// with a map-based transcription of Figs. 1–4.
 package solver
 
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,50 +59,279 @@ import (
 	"warrow/internal/lattice"
 )
 
-// execCore is what a compiled solver loop needs from the value store: shape
-// access for scheduling, a step function for the hot loop, the restart
-// primitive of SLR3/SLR4, and the boxed boundary operations (results,
-// checkpoints).
+// execCore is what a compiled solver loop needs: the store's scope and
+// boundaries (scope, snapshot, restore) plus the step function for the hot
+// loop and the restart primitive of SLR3/SLR4, which depend on the form.
 type execCore[X comparable, D any] interface {
 	// scope exposes the index space the run iterates over (its size, its
 	// influence rows, queue translation).
 	scope() *scope[X, D]
 	// stepper returns the step function of one run (PSW and CPW: of one
 	// worker, for the whole run):
-	// step(i, accel) evaluates unknown i under the eval guard, hands the
-	// step's phase to the watchdog, and stores op.Apply(old, rhs) when accel
-	// is set and the right-hand-side value rhs otherwise. It reports the
-	// phase, whether the value changed, how many evaluation attempts were
-	// made, and the evaluation error, if any. On an error nothing is rolled
-	// forward — the failed evaluation never happened. The phase is computed
-	// only when the watchdog is armed or phases is set; otherwise step
-	// reports PhaseStable.
+	// step(i, accel) evaluates the unknown at local position i under the
+	// eval guard, hands the step's phase to the watchdog, and stores
+	// op.Apply(old, rhs) when accel is set and the right-hand-side value rhs
+	// otherwise. It reports the phase, whether the value changed, how many
+	// evaluation attempts were made, and the evaluation error, if any. On
+	// an error nothing is rolled forward — the failed evaluation never
+	// happened. The phase is computed only when the watchdog is armed or
+	// phases is set; otherwise step reports PhaseStable.
 	stepper(phases bool) func(i int, accel bool) (ph Phase, changed bool, attempts int, ee *EvalError)
-	// resetter returns the restart primitive of SLR3/SLR4, which never run
-	// on a shared store: reset(i) sets unknown i back to its initial value
-	// and reports whether that changed it, handing a PhaseRestart to the
-	// watchdog when it did.
+	// resetter returns the restart primitive of SLR3/SLR4, which run over
+	// the whole system and never on a shared store: reset(i) sets unknown
+	// i back to its initial value and reports whether that changed it,
+	// handing a PhaseRestart to the watchdog when it did.
 	resetter() func(i int) bool
-	// sigmaMap renders the assignment as the map the public API returns.
-	sigmaMap() map[X]D
-	// snapshot captures a checkpoint of the current assignment; the caller
+	// snapshot captures a checkpoint of the scope's assignment; the caller
 	// fills in the solver-specific scheduling state.
 	snapshot(name string, st Stats) *Checkpoint[X, D]
 	// restore applies a checkpointed assignment. It fails, wrapping
-	// lattice.ErrUnencodable, only on a word store that cannot hold one of
-	// the values.
+	// lattice.ErrUnencodable, only on the word form when the words cannot
+	// hold one of the values.
 	restore(cp *Checkpoint[X, D]) error
-	// release returns the value store to the shape's pool; the core must not
-	// be used afterwards.
-	release()
 }
 
-// boxedCore is the compiled core with boxed values: compiled's assignment
-// (its []D, or its atomic pointers when shared) plus the pieces the step
-// function needs. snapshot, restore, sigmaMap and release come from the
-// embedded compiled.
+// store is the assignment of a compiled run by order position: raw words
+// while words is non-nil, boxed values otherwise. Its slots come from the
+// shape's pools. Run's store lives for one run and gives them back on
+// release; Live's persists between runs, never released, and sets sc
+// before each.
+type store[X comparable, D any] struct {
+	*denseShape[X, D]
+	// sc is the index space the run iterates over; reset, snapshot and
+	// restore touch its unknowns only.
+	sc   scope[X, D]
+	init func(X) D
+	// The word form holds unknown p at words[p*stride:(p+1)*stride].
+	raw    lattice.Raw[D]
+	stride int
+	words  []uint64
+	// The boxed form holds unknown p at vals[p] or, in a shared store, at
+	// ptrs[p]: one atomic pointer per unknown to an immutable value, so a
+	// worker reading a slot while its owner replaces it sees the old value
+	// or the new one, never a mix.
+	vals []D
+	ptrs []atomic.Pointer[D]
+	// shared marks a store CPW's workers use concurrently: on words, reads
+	// of other unknowns go through load and updates through publish, and
+	// seq holds the per-unknown seqlock versions when the stride is more
+	// than one word; an atomic load of a single word is already a
+	// consistent snapshot.
+	shared bool
+	seq    []atomic.Uint32
+}
+
+// newStore returns a store over sys's whole system for runs from init: on
+// raw's words when raw is non-nil, boxed values otherwise, and shared for
+// CPW's workers. Its slots hold no values until reset writes σ₀.
+func newStore[X comparable, D any](sys *eqn.System[X, D], init func(X) D, raw lattice.Raw[D], shared bool) *store[X, D] {
+	sh := shapeOf(sys)
+	n := len(sh.order)
+	s := &store[X, D]{denseShape: sh, sc: wholeScope(sys, sh), init: init, shared: shared}
+	switch {
+	case raw != nil:
+		s.raw, s.stride = raw, raw.RawWords()
+		s.words = take[uint64](&sh.wordsPool, n*s.stride)
+		if shared && s.stride > 1 {
+			s.seq = make([]atomic.Uint32, n)
+		}
+	case shared:
+		s.ptrs = make([]atomic.Pointer[D], n)
+	default:
+		s.vals = take[D](&sh.valsPool, n)
+	}
+	return s
+}
+
+// take returns a slice of n elements, from pool when it holds one of that
+// length.
+func take[T any](pool *sync.Pool, n int) []T {
+	if v, ok := pool.Get().([]T); ok && len(v) == n {
+		return v
+	}
+	return make([]T, n)
+}
+
+func (s *store[X, D]) scope() *scope[X, D] { return &s.sc }
+
+// slot returns the words of unknown p.
+func (s *store[X, D]) slot(p int) []uint64 { return s.words[p*s.stride : (p+1)*s.stride] }
+
+// at returns unknown p's boxed value.
+func (s *store[X, D]) at(p int) D {
+	if s.ptrs != nil {
+		return *s.ptrs[p].Load()
+	}
+	return s.vals[p]
+}
+
+// set makes v unknown p's boxed value; a shared store publishes a fresh
+// copy.
+func (s *store[X, D]) set(p int, v D) {
+	if s.ptrs != nil {
+		c := new(D)
+		*c = v
+		s.ptrs[p].Store(c)
+		return
+	}
+	s.vals[p] = v
+}
+
+// value returns unknown p's value in either form, decoding words. It does
+// not synchronize: on a shared store, call it only while no worker runs.
+func (s *store[X, D]) value(p int) D {
+	if s.words != nil {
+		return s.raw.RawDecode(s.slot(p))
+	}
+	return s.at(p)
+}
+
+// put makes v unknown p's value in either form. On words it panics,
+// wrapping lattice.ErrUnencodable, when they cannot hold v.
+func (s *store[X, D]) put(p int, v D) {
+	if s.words != nil {
+		s.raw.RawEncode(s.slot(p), v)
+		return
+	}
+	s.set(p, v)
+}
+
+// reset writes σ₀ to the scope's slots: the one place a run start, and a
+// cone of Live, writes the initial assignment. On words it fails, wrapping
+// lattice.ErrUnencodable, when they cannot hold a value of σ₀; its owner
+// then redoes the run on boxed values (redoBoxed).
+func (s *store[X, D]) reset() (err error) {
+	defer recoverUnencodable(&err)
+	for k := 0; k < s.sc.n; k++ {
+		p := s.sc.parent(k)
+		s.put(p, s.init(s.order[p]))
+	}
+	return nil
+}
+
+// snapshot captures the shared part of a compiled-solver checkpoint —
+// name, fingerprint, counters and the scope's assignment in linear order —
+// read straight off the store, without a σ map. Raw encodings are
+// canonical and RawDecode inverts RawEncode exactly, so both forms give
+// byte-identical wire output on the same state, which is what lets a
+// checkpoint captured on one resume on the other.
+func (s *store[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
+	cp := s.sc.newCheckpoint(name, st)
+	for k := range cp.Sigma {
+		p := s.sc.parent(k)
+		cp.Sigma[k] = CheckpointEntry[X, D]{X: s.order[p], V: s.value(p)}
+	}
+	return cp
+}
+
+// restore applies a checkpointed assignment. Entries for unknowns outside
+// the scope are ignored; a fingerprint-matched checkpoint carries none. A
+// value the words cannot hold — a boxed run may have checkpointed one —
+// fails the restore with lattice.ErrUnencodable.
+func (s *store[X, D]) restore(cp *Checkpoint[X, D]) (err error) {
+	defer recoverUnencodable(&err)
+	for _, e := range cp.Sigma {
+		if k, ok := s.sc.lookup(e.X); ok {
+			s.put(s.sc.parent(k), e.V)
+		}
+	}
+	return nil
+}
+
+// sigma renders the whole assignment as the map the public API returns.
+func (s *store[X, D]) sigma() map[X]D {
+	m := make(map[X]D, len(s.order))
+	for p, x := range s.order {
+		m[x] = s.value(p)
+	}
+	return m
+}
+
+// box converts an unshared word store that is never released — Live's —
+// to boxed values for good. The word form goes first, so every slot is written boxed.
+func (s *store[X, D]) box() {
+	words := s.words
+	if words == nil {
+		return
+	}
+	s.words = nil
+	s.vals = make([]D, len(words)/s.stride)
+	for p := range s.vals {
+		s.vals[p] = s.raw.RawDecode(words[p*s.stride : (p+1)*s.stride])
+	}
+}
+
+// release returns the store's slots to the shape's pools; the store must
+// not be used afterwards. Maps and snapshots taken earlier hold copies of
+// the values and stay valid. A shared boxed store has no pooled slots.
+func (s *store[X, D]) release() {
+	if s.words != nil {
+		s.wordsPool.Put(s.words)
+		s.words = nil
+	}
+	if s.vals != nil {
+		s.valsPool.Put(s.vals)
+		s.vals = nil
+	}
+}
+
+// load copies unknown i's value into dst (len ≥ stride) as a consistent
+// snapshot of a shared store. Under the seqlock a reader retries until it
+// sees the same even version on both sides of its copy: the writer makes
+// the version odd, stores the words, and makes it even again.
+func (s *store[X, D]) load(i int, dst []uint64) {
+	base := i * s.stride
+	if s.seq == nil {
+		dst[0] = atomic.LoadUint64(&s.words[base])
+		return
+	}
+	for {
+		v := s.seq[i].Load()
+		if v&1 == 0 {
+			for k := 0; k < s.stride; k++ {
+				dst[k] = atomic.LoadUint64(&s.words[base+k])
+			}
+			if s.seq[i].Load() == v {
+				return
+			}
+		}
+		// A write is in flight; yield so its goroutine can finish even on
+		// GOMAXPROCS=1.
+		runtime.Gosched()
+	}
+}
+
+// publish stores src (len ≥ stride) as unknown i's value in a shared
+// store. Only one goroutine may store to a given slot at a time — CPW's
+// running claim is what enforces that.
+func (s *store[X, D]) publish(i int, src []uint64) {
+	base := i * s.stride
+	if s.seq == nil {
+		atomic.StoreUint64(&s.words[base], src[0])
+		return
+	}
+	s.seq[i].Add(1) // odd: write in flight
+	for k := 0; k < s.stride; k++ {
+		atomic.StoreUint64(&s.words[base+k], src[k])
+	}
+	s.seq[i].Add(1) // even: published
+}
+
+// local returns step, which takes order positions, as the step function of
+// the run's scope, which takes local positions: a cone's maps them, and
+// the whole system's needs no mapping.
+func (s *store[X, D]) local(step func(int, bool) (Phase, bool, int, *EvalError)) func(int, bool) (Phase, bool, int, *EvalError) {
+	pos := s.sc.pos
+	if pos == nil {
+		return step
+	}
+	return func(i int, accel bool) (Phase, bool, int, *EvalError) { return step(pos[i], accel) }
+}
+
+// boxedCore is the core over the boxed form: the store plus the pieces
+// the step function needs.
 type boxedCore[X comparable, D any] struct {
-	*compiled[X, D]
+	*store[X, D]
 	l lattice.Lattice[D]
 	// op is the plain update operator: the step function observes each
 	// phase itself, right before Apply, as rawCore does.
@@ -106,13 +340,11 @@ type boxedCore[X comparable, D any] struct {
 	g  *evalGuard
 }
 
-func (bc *boxedCore[X, D]) scope() *scope[X, D] { return &bc.sc }
-
 func (bc *boxedCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int, *EvalError) {
 	e := bc.evaluator()
 	wd := bc.wd
 	track := phases || wd != nil
-	return func(i int, accel bool) (Phase, bool, int, *EvalError) {
+	return bc.local(func(i int, accel bool) (Phase, bool, int, *EvalError) {
 		x := bc.order[i]
 		e.cur = i
 		rhsVal, attempts, ee := guardedEval(bc.g, x, e.thunk)
@@ -136,7 +368,7 @@ func (bc *boxedCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, in
 		}
 		bc.set(i, next)
 		return ph, true, attempts, nil
-	}
+	})
 }
 
 func (bc *boxedCore[X, D]) resetter() func(int) bool {
@@ -154,149 +386,6 @@ func (bc *boxedCore[X, D]) resetter() func(int) bool {
 	}
 }
 
-// rawCompiled is the unboxed twin of compiled: the assignment is one flat
-// []uint64, stride words per unknown, indexed by order position.
-type rawCompiled[X comparable, D any] struct {
-	*denseShape[X, D]
-	// sc is the index space the run iterates over, as in compiled.
-	sc     scope[X, D]
-	init   func(X) D
-	raw    lattice.Raw[D]
-	stride int
-	// words is the assignment: unknown i lives at words[i*stride:(i+1)*stride].
-	words []uint64
-	// shared marks a store CPW's workers use concurrently: reads of other
-	// unknowns go through load, updates through store. seq holds its
-	// per-unknown seqlock versions when the stride is more than one word;
-	// an atomic load of a single word is already a consistent snapshot.
-	shared bool
-	seq    []atomic.Uint32
-}
-
-// rawCompile builds the unboxed store, shared or not, and encodes the
-// initial assignment. It panics if an initial value has no raw encoding;
-// buildCore catches that and falls back to the boxed core.
-func rawCompile[X comparable, D any](sys *eqn.System[X, D], raw lattice.Raw[D], init func(X) D, shared bool) *rawCompiled[X, D] {
-	sh := shapeOf(sys)
-	stride := raw.RawWords()
-	n := len(sh.order)
-	var words []uint64
-	if w, ok := sh.wordsPool.Get().([]uint64); ok && len(w) == n*stride {
-		words = w
-	} else {
-		words = make([]uint64, n*stride)
-	}
-	rc := &rawCompiled[X, D]{denseShape: sh, sc: wholeScope(sys, sh), init: init, raw: raw, stride: stride, words: words, shared: shared}
-	if shared && stride > 1 {
-		rc.seq = make([]atomic.Uint32, n)
-	}
-	for i, x := range sh.order {
-		raw.RawEncode(words[i*stride:(i+1)*stride], init(x))
-	}
-	return rc
-}
-
-// tryRawCompile is rawCompile with the encode panic converted into a
-// fallback signal: an initial assignment the encoding cannot represent
-// (sentinel-colliding interval bounds, out-of-universe set elements) sends
-// the solve to the boxed core instead of crashing.
-func tryRawCompile[X comparable, D any](sys *eqn.System[X, D], raw lattice.Raw[D], init func(X) D, shared bool) (rc *rawCompiled[X, D], ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			rc, ok = nil, false
-		}
-	}()
-	return rawCompile(sys, raw, init, shared), true
-}
-
-// load copies unknown i's value into dst (len ≥ stride) as a consistent
-// snapshot of a shared store. Under the seqlock a reader retries until it
-// sees the same even version on both sides of its copy: the writer makes
-// the version odd, stores the words, and makes it even again.
-func (rc *rawCompiled[X, D]) load(i int, dst []uint64) {
-	base := i * rc.stride
-	if rc.seq == nil {
-		dst[0] = atomic.LoadUint64(&rc.words[base])
-		return
-	}
-	for {
-		v := rc.seq[i].Load()
-		if v&1 == 0 {
-			for k := 0; k < rc.stride; k++ {
-				dst[k] = atomic.LoadUint64(&rc.words[base+k])
-			}
-			if rc.seq[i].Load() == v {
-				return
-			}
-		}
-		// A write is in flight; yield so its goroutine can finish even on
-		// GOMAXPROCS=1.
-		runtime.Gosched()
-	}
-}
-
-// store publishes src (len ≥ stride) as unknown i's value in a shared
-// store. Only one goroutine may store to a given slot at a time — CPW's
-// running claim is what enforces that.
-func (rc *rawCompiled[X, D]) store(i int, src []uint64) {
-	base := i * rc.stride
-	if rc.seq == nil {
-		atomic.StoreUint64(&rc.words[base], src[0])
-		return
-	}
-	rc.seq[i].Add(1) // odd: write in flight
-	for k := 0; k < rc.stride; k++ {
-		atomic.StoreUint64(&rc.words[base+k], src[k])
-	}
-	rc.seq[i].Add(1) // even: published
-}
-
-// release returns the word store to the shape's pool.
-func (rc *rawCompiled[X, D]) release() {
-	if rc.words == nil {
-		return
-	}
-	rc.wordsPool.Put(rc.words)
-	rc.words = nil
-}
-
-// sigmaMap decodes the assignment into the map the public API returns.
-func (rc *rawCompiled[X, D]) sigmaMap() map[X]D {
-	sigma := make(map[X]D, len(rc.order))
-	for i, x := range rc.order {
-		sigma[x] = rc.raw.RawDecode(rc.words[i*rc.stride : (i+1)*rc.stride])
-	}
-	return sigma
-}
-
-// snapshot decodes the assignment into boxed Sigma rows in linear order.
-// Raw encodings are canonical and RawDecode inverts RawEncode exactly, so
-// the wire output is byte-identical to the boxed store's on the same state —
-// which is what lets a checkpoint captured here resume on either store.
-func (rc *rawCompiled[X, D]) snapshot(name string, st Stats) *Checkpoint[X, D] {
-	cp := rc.sc.newCheckpoint(name, st)
-	for k := range cp.Sigma {
-		i := rc.sc.parent(k)
-		cp.Sigma[k] = CheckpointEntry[X, D]{X: rc.order[i], V: rc.raw.RawDecode(rc.words[i*rc.stride : (i+1)*rc.stride])}
-	}
-	return cp
-}
-
-// restore encodes a checkpointed assignment into the word store. Entries for
-// unknowns outside the scope are ignored, like the boxed store does. A value
-// the encoding cannot represent — a boxed run may have checkpointed one —
-// fails the restore with lattice.ErrUnencodable.
-func (rc *rawCompiled[X, D]) restore(cp *Checkpoint[X, D]) (err error) {
-	defer recoverUnencodable(&err)
-	for _, e := range cp.Sigma {
-		if k, ok := rc.sc.lookup(e.X); ok {
-			j := rc.sc.parent(k)
-			rc.raw.RawEncode(rc.words[j*rc.stride:(j+1)*rc.stride], e.V)
-		}
-	}
-	return nil
-}
-
 // recoverUnencodable, deferred, turns a raw-encoding panic into *err. Any
 // other panic keeps unwinding.
 func recoverUnencodable(err *error) {
@@ -309,18 +398,16 @@ func recoverUnencodable(err *error) {
 	}
 }
 
-// rawCore is the word-store core: rawCompiled's word store plus the
-// structured operator and the watchdog hook.
+// rawCore is the core over the word form: the store plus the structured
+// operator and the watchdog hook.
 type rawCore[X comparable, D any] struct {
-	*rawCompiled[X, D]
+	*store[X, D]
 	// op is the structured operator; the phase observation runs on words
 	// (rawPhase), right before rawApply, as in boxedCore.
 	op rawOperator[D]
 	wd *watchdog[X]
 	g  *evalGuard
 }
-
-func (rc *rawCore[X, D]) scope() *scope[X, D] { return &rc.sc }
 
 // rawPhase is PhaseOf on encoded values: equality is word equality because
 // encodings are canonical, and RawLeq mirrors the boxed order bit for bit.
@@ -447,7 +534,7 @@ func (rc *rawCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int,
 	shared := rc.shared
 	// res receives the combined result of each accelerated step.
 	res := make([]uint64, stride)
-	return func(i int, accel bool) (Phase, bool, int, *EvalError) {
+	return rc.local(func(i int, accel bool) (Phase, bool, int, *EvalError) {
 		e.cur = i
 		x := rc.order[i]
 		_, attempts, ee := guardedEval(rc.g, x, e.thunk)
@@ -473,12 +560,12 @@ func (rc *rawCore[X, D]) stepper(phases bool) func(int, bool) (Phase, bool, int,
 			return ph, false, attempts, nil
 		}
 		if shared {
-			rc.store(i, next)
+			rc.publish(i, next)
 		} else {
 			copy(old, next)
 		}
 		return ph, true, attempts, nil
-	}
+	})
 }
 
 func (rc *rawCore[X, D]) resetter() func(int) bool {
@@ -486,7 +573,7 @@ func (rc *rawCore[X, D]) resetter() func(int) bool {
 	return func(i int) bool {
 		x := rc.order[i]
 		rc.raw.RawEncode(scratch, rc.init(x))
-		old := rc.words[i*rc.stride : (i+1)*rc.stride]
+		old := rc.slot(i)
 		if rc.raw.RawEq(old, scratch) {
 			return false
 		}
@@ -500,16 +587,17 @@ func (rc *rawCore[X, D]) resetter() func(int) bool {
 
 // redoBoxed runs a compiled solve and covers the word store's one gap: a
 // value its words cannot hold (an interval bound at the int64 extremes, a
-// set element outside the universe), whether the resume checkpoint carries
-// it or an evaluation computes it. The word store then fails the run with
-// lattice.ErrUnencodable, and redoBoxed runs the solve again from the same
-// starting point on boxed values, which hold every value. Up to that value
-// both stores run identically, and right-hand sides are pure (eqn.RHS), so
-// the redo answers exactly as a boxed solve would — values, Stats, abort
-// report and checkpoint — and store selection never changes an answer. A stateful right-hand side, such as a chaos fault injector,
-// observes the failed run's evaluations too. The redo keeps the first run's
-// wall-clock deadline and skips the periodic checkpoints the first run
-// already delivered.
+// set element outside the universe), whether σ₀ or the resume checkpoint
+// carries it or an evaluation computes it. The word store then fails the
+// run with lattice.ErrUnencodable, and redoBoxed runs the solve again from
+// the same starting point on boxed values, which hold every value. Up to
+// that value both stores run identically, and right-hand sides are pure
+// (eqn.RHS), so the redo answers exactly as a boxed solve would — values,
+// Stats, abort report and checkpoint — and store selection never changes
+// an answer. A stateful right-hand side, such as a chaos fault injector,
+// observes the failed run's evaluations too. The redo keeps the first
+// run's wall-clock deadline and skips the periodic checkpoints the first
+// run already delivered.
 func redoBoxed[X comparable, D any](cfg Config, run func(Config) (map[X]D, Stats, error)) (map[X]D, Stats, error) {
 	if cfg.Core == CoreDense {
 		return run(cfg)
@@ -536,46 +624,26 @@ func redoBoxed[X comparable, D any](cfg Config, run func(Config) (map[X]D, Stats
 	return run(cfg)
 }
 
-// buildCore picks the value store for a compiled solve and builds the core
-// together with its watchdog: the word store where rawStoreFor allows it
-// and the initial assignment encodes cleanly, boxed values otherwise.
-// shared builds the store in the form concurrent workers can share (CPW);
-// the choice between words and boxed values does not depend on it.
-func buildCore[X comparable, D any](sys *eqn.System[X, D], l lattice.Lattice[D], op Operator[X, D], init func(X) D, cfg Config, shared bool) (execCore[X, D], *watchdog[X]) {
-	if raw, ro, ok := rawStoreFor(l, op, cfg); ok {
-		if rc, ok := tryRawCompile(sys, raw, init, shared); ok {
-			return newRawCore(rc, ro, cfg)
-		}
-	}
-	return newBoxedCore(compile(sys, init, shared), l, op, cfg)
-}
-
-// rawStoreFor returns the lattice's word encoding and the operator's word
-// form when a compiled solve under cfg may run on the word store: that
-// needs a core selection that allows it (anything but CoreDense), a
-// structured update operator, and a lattice with a raw encoding. The
-// initial assignment must still encode; where it does not, the solve runs
-// on boxed values.
-func rawStoreFor[X comparable, D any](l lattice.Lattice[D], op Operator[X, D], cfg Config) (lattice.Raw[D], rawOperator[D], bool) {
+// wordsFor returns the lattice's word encoding when a compiled solve
+// under cfg may run on the word store: that needs a core selection that
+// allows it (anything but CoreDense), a structured update operator, and a
+// lattice with a raw encoding. σ₀ must still encode (see store.reset).
+func wordsFor[X comparable, D any](l lattice.Lattice[D], op Operator[X, D], cfg Config) lattice.Raw[D] {
 	if cfg.Core == CoreDense {
-		return nil, nil, false
+		return nil
 	}
-	ro, ok := op.(rawOperator[D])
-	if !ok {
-		return nil, nil, false
+	if _, ok := op.(rawOperator[D]); !ok {
+		return nil
 	}
-	raw := lattice.AsRaw[D](l)
-	return raw, ro, raw != nil
+	return lattice.AsRaw[D](l)
 }
 
-// newRawCore builds the core over a word store, with its watchdog.
-func newRawCore[X comparable, D any](rc *rawCompiled[X, D], ro rawOperator[D], cfg Config) (execCore[X, D], *watchdog[X]) {
-	wd := newWatchdog(cfg, rc.idx)
-	return &rawCore[X, D]{rawCompiled: rc, op: ro, wd: wd, g: newEvalGuard(cfg)}, wd
-}
-
-// newBoxedCore builds the core over a boxed store, with its watchdog.
-func newBoxedCore[X comparable, D any](c *compiled[X, D], l lattice.Lattice[D], op Operator[X, D], cfg Config) (execCore[X, D], *watchdog[X]) {
-	wd := newWatchdog(cfg, c.idx)
-	return &boxedCore[X, D]{compiled: c, l: l, op: op, wd: wd, g: newEvalGuard(cfg)}, wd
+// newCore builds the core of one run over s, with its watchdog: on the
+// word form the operator is the structured one wordsFor required.
+func newCore[X comparable, D any](s *store[X, D], l lattice.Lattice[D], op Operator[X, D], cfg Config) (execCore[X, D], *watchdog[X]) {
+	wd, g := newWatchdog(cfg, s.idx), newEvalGuard(cfg)
+	if s.words != nil {
+		return &rawCore[X, D]{store: s, op: op.(rawOperator[D]), wd: wd, g: g}, wd
+	}
+	return &boxedCore[X, D]{store: s, l: l, op: op, wd: wd, g: g}, wd
 }
