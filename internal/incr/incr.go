@@ -130,20 +130,16 @@ type Engine[X comparable, D any] struct {
 	cone []int
 }
 
-// Solvers the engine dispatches to.
-var solverNames = map[string]bool{"rr": true, "w": true, "srr": true, "sw": true, "psw": true}
-
-// New builds an engine over a system for one of the global solvers ("rr",
-// "w", "srr", "sw", "psw"). The local solvers discover dependences on the
-// fly and have no static cone to restrict; they are out of scope here.
+// New builds an engine over a system for one of the global solvers
+// solver.NewLive accepts ("rr", "w", "srr", "sw", "psw"). The local solvers
+// discover dependences on the fly and have no static cone to restrict; they
+// are out of scope here. The engine solves with the structured operator
+// form, so the word store engages whenever the domain supports it.
 func New[X comparable, D any](l lattice.Lattice[D], sys *eqn.System[X, D], init func(X) D, solverName string) (*Engine[X, D], error) {
-	if !solverNames[solverName] {
-		return nil, fmt.Errorf("incr: unknown solver %q (want rr, w, srr, sw or psw)", solverName)
-	}
 	e := &Engine[X, D]{sys: sys, init: init, solverName: solverName}
 	live, err := solver.NewLive(sys, l, solver.WarrowOp[X](l), e.Init(), solverName)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("incr: %w", err)
 	}
 	e.live = live
 	return e, nil
@@ -168,8 +164,6 @@ func (e *Engine[X, D]) Init() func(X) D {
 
 // full solves the whole system on the live store from σ₀ (or cfg.Resume)
 // and, on success, merges the solution into the live assignment in place.
-// The structured operator form is used so the unboxed core engages
-// whenever the domain supports it.
 func (e *Engine[X, D]) full(cfg solver.Config) (solver.Stats, error) {
 	vals := e.prev
 	if vals == nil {

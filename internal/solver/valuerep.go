@@ -248,17 +248,16 @@ func (s *store[X, D]) sigma() map[X]D {
 }
 
 // box converts an unshared word store that is never released — Live's —
-// to boxed values for good. The word form goes first, so every slot is written boxed.
+// to boxed values for good.
 func (s *store[X, D]) box() {
-	words := s.words
-	if words == nil {
+	if s.words == nil {
 		return
 	}
-	s.words = nil
-	s.vals = make([]D, len(words)/s.stride)
+	s.vals = make([]D, len(s.words)/s.stride)
 	for p := range s.vals {
-		s.vals[p] = s.raw.RawDecode(words[p*s.stride : (p+1)*s.stride])
+		s.vals[p] = s.raw.RawDecode(s.slot(p))
 	}
+	s.words = nil
 }
 
 // release returns the store's slots to the shape's pools; the store must
